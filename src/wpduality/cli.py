@@ -103,6 +103,22 @@ def _config_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
 
 
+def _ensemble(n: int, args):
+    """Rejection-sampled random configs for ``--ensemble``, ``--seed`` and
+    ``--min-coherence``: yields ``(sample, cfg, coherence_bits)``."""
+    log_n = float(np.log2(n))
+    produced = 0
+    index = 0
+    while produced < args.ensemble:
+        cfg = disc.random_config(n, n, _config_seed(args.seed, index))
+        index += 1
+        coherence_bits = quantum.coherence_rel_ent(cfg)
+        if coherence_bits / log_n < args.min_coherence:
+            continue
+        yield produced, cfg, coherence_bits
+        produced += 1
+
+
 def cmd_figure1(args) -> int:
     """Coherence vs distinguishability curves for the symmetric family."""
     n_list = _parse_int_list(args.n_paths, "--n-paths")
@@ -145,36 +161,23 @@ def cmd_figure2(args) -> int:
     rows = []
     failures = 0
     for n in n_list:
-        produced = 0
-        index = 0
-        while produced < args.ensemble:
-            cfg = disc.random_config(n, n, _config_seed(args.seed, index))
-            index += 1
-            coh = quantum.normalized_coherence(cfg)
-            if coh < args.min_coherence:
-                continue
-            produced += 1
-            problem0 = sdp.build_problem(cfg, 0.0)
+        log_n = float(np.log2(n))
+        for sample, cfg, coherence_bits in _ensemble(n, args):
+            coh = coherence_bits / log_n
             for pe in budgets:
                 try:
-                    sol = sdp.solve(
-                        sdp.BlockSdpProblem(problem0.gram, float(pe), n), options)
+                    sol = sdp.solve(sdp.build_problem(cfg, pe), options)
                 except sdp.NumericalBreakdownError:
                     failures += 1
-                    rows.append(["sample", n, produced - 1, float(pe),
+                    rows.append(["sample", n, sample, pe,
                                  float("nan"), float("nan"), coh,
                                  float("nan"), "breakdown"])
                     continue
                 if sol.status != "optimal":
                     failures += 1
-                out = disc.DiscriminationOutcome(
-                    p_success=1.0 - sol.error_used - sol.objective,
-                    p_error=sol.error_used,
-                    p_failure=sol.objective,
-                    method="sdp",
-                )
-                report = duality.check_error_margin_duality(cfg, out)
-                rows.append(["sample", n, produced - 1, float(pe),
+                report = duality.check_error_margin_duality(
+                    cfg, disc.outcome_from_solution(sol), coherence_bits)
+                rows.append(["sample", n, sample, pe,
                              sol.error_used, sol.objective, coh,
                              report.bound_lhs, sol.status])
         for pe in budgets:
@@ -236,11 +239,9 @@ def cmd_solve(args) -> int:
     if solution.status != "optimal":
         log.error("solver did not converge: status %s", solution.status)
         return EXIT_SOLVER
-    p_f = solution.objective
-    p_e = min(solution.error_used, 1.0 - p_f)
-    outcome = disc.DiscriminationOutcome(
-        p_success=1.0 - p_e - p_f, p_error=p_e, p_failure=p_f, method="sdp")
-    reports = duality.all_checks(cfg, outcome)
+    outcome = disc.outcome_from_solution(solution)
+    coherence_bits = quantum.coherence_rel_ent(cfg)
+    reports = duality.all_checks(cfg, outcome, coherence_bits)
     rho_p = quantum.path_density_matrix(cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -251,8 +252,8 @@ def cmd_solve(args) -> int:
             "path_von_neumann_bits": quantum.von_neumann_entropy(rho_p),
         },
         "coherence": {
-            "rel_ent_bits": quantum.coherence_rel_ent(cfg),
-            "normalized": quantum.normalized_coherence(cfg),
+            "rel_ent_bits": coherence_bits,
+            "normalized": coherence_bits / float(np.log2(cfg.n_paths)),
         },
         "discrimination": {
             "p_success": outcome.p_success,
@@ -285,18 +286,10 @@ def cmd_scan(args) -> int:
     breakdowns = 0
     checked = 0
     for n in n_list:
-        produced = 0
-        index = 0
-        while produced < args.ensemble:
-            cfg = disc.random_config(n, n, _config_seed(args.seed, index))
-            index += 1
-            if quantum.normalized_coherence(cfg) < args.min_coherence:
-                continue
-            produced += 1
-            gram = sdp.build_problem(cfg, 0.0).gram
+        for _, cfg, coherence_bits in _ensemble(n, args):
             for pe in budgets:
                 try:
-                    sol = sdp.solve(sdp.BlockSdpProblem(gram, float(pe), n), options)
+                    sol = sdp.solve(sdp.build_problem(cfg, pe), options)
                 except sdp.NumericalBreakdownError:
                     breakdowns += 1
                     statuses["breakdown"] = statuses.get("breakdown", 0) + 1
@@ -306,12 +299,8 @@ def cmd_scan(args) -> int:
                 if sol.status != "optimal":
                     breakdowns += 1
                     continue
-                p_f = sol.objective
-                p_e = min(sol.error_used, 1.0 - p_f)
-                outcome = disc.DiscriminationOutcome(
-                    p_success=1.0 - p_e - p_f, p_error=p_e, p_failure=p_f,
-                    method="sdp")
-                for report in duality.all_checks(cfg, outcome):
+                outcome = disc.outcome_from_solution(sol)
+                for report in duality.all_checks(cfg, outcome, coherence_bits):
                     checked += 1
                     entry = relation_stats.setdefault(
                         report.relation,

@@ -24,6 +24,7 @@ __all__ = [
     "asymmetric_interferometer",
     "asymmetric_usd",
     "discriminate",
+    "outcome_from_solution",
     "random_config",
     "symmetric_coherence",
     "symmetric_error_margin",
@@ -255,6 +256,19 @@ def random_config(n_paths: int, detector_dim: int, seed: int) -> InterferometerC
     return InterferometerConfig(priors, matlin.hermitian(gram, tol=1e-10))
 
 
+def outcome_from_solution(solution: sdp.BlockSdpSolution) -> DiscriminationOutcome:
+    """Probability triple of an SDP solution, whatever its status.
+
+    ``P_f`` is the objective and ``P_e`` the error used, clamped to the
+    conclusive probability ``1 - P_f`` so round-off cannot leave the simplex.
+    """
+    p_f = solution.objective
+    p_e = min(solution.error_used, 1.0 - p_f)
+    return DiscriminationOutcome(
+        p_success=1.0 - p_e - p_f, p_error=p_e, p_failure=p_f, method="sdp"
+    )
+
+
 def _symmetric_structure(cfg: InterferometerConfig):
     """Detect the equal-overlap uniform-priors structure, returning (N, c)."""
     n = cfg.n_paths
@@ -287,8 +301,4 @@ def discriminate(
         raise sdp.NumericalBreakdownError(
             f"SDP did not reach optimality: status {solution.status!r}"
         )
-    p_f = solution.objective
-    p_e = min(solution.error_used, 1.0 - p_f)
-    return DiscriminationOutcome(
-        p_success=1.0 - p_e - p_f, p_error=p_e, p_failure=p_f, method="sdp"
-    )
+    return outcome_from_solution(solution)

@@ -1,7 +1,7 @@
 """Dense complex Hermitian linear algebra kernels.
 
-Self-contained eigendecomposition (cyclic Jacobi sweeps with complex
-rotations), positive-semidefiniteness tests and Gram-matrix factorization.
+Eigendecomposition (LAPACK ``eigh`` behind a descending-order API),
+positive-semidefiniteness tests and Gram-matrix factorization.
 Matrices are plain numpy arrays; the helpers here validate and canonicalize
 them instead of wrapping them in classes.
 """
@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "EigenDecomposition",
-    "IterationLimitError",
     "NotPsdError",
     "ValidationError",
     "eig_hermitian",
@@ -34,10 +33,6 @@ class ValidationError(ValueError):
 
 class NotPsdError(ValidationError):
     """Matrix required to be positive semidefinite is not."""
-
-
-class IterationLimitError(RuntimeError):
-    """Jacobi sweeps did not converge within the sweep limit."""
 
 
 def hermitian(entries, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -70,90 +65,22 @@ def hermitian(entries, tol: float = HERMITIAN_TOL) -> np.ndarray:
 class EigenDecomposition:
     """Eigenvalues sorted descending with matching orthonormal eigenvectors.
 
-    ``eigenvectors[:, k]`` pairs with ``eigenvalues[k]``; ties in the sort are
-    broken by original index order so results are deterministic.
+    ``eigenvectors[:, k]`` pairs with ``eigenvalues[k]``.  The descending
+    sort is stable, so tied eigenvalues keep the order LAPACK returned them
+    in and results are deterministic.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _rotate(m: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero the (p, q) pivot of Hermitian ``m`` with a complex Jacobi rotation.
+def eig_hermitian(a) -> EigenDecomposition:
+    """Full eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
-    Applies m <- U^H m U and accumulates v <- v U, where U is the identity
-    outside rows/columns p and q.
+    The input is validated and symmetrized by :func:`hermitian` first; the
+    eigenpairs are then reordered to descending eigenvalues.
     """
-    apq = m[p, q]
-    b = abs(apq)
-    ph = apq / b
-    tau = (m[q, q].real - m[p, p].real) / (2.0 * b)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + np.hypot(1.0, tau))
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    sph = s * ph
-
-    # Column update M <- M U, then row update M <- U^H M.
-    col_p = m[:, p].copy()
-    col_q = m[:, q].copy()
-    m[:, p] = c * col_p - np.conj(sph) * col_q
-    m[:, q] = sph * col_p + c * col_q
-    row_p = m[p, :].copy()
-    row_q = m[q, :].copy()
-    m[p, :] = c * row_p - sph * row_q
-    m[q, :] = np.conj(sph) * row_p + c * row_q
-
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-    m[p, p] = m[p, p].real
-    m[q, q] = m[q, q].real
-
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p - np.conj(sph) * col_q
-    v[:, q] = sph * col_p + c * col_q
-
-
-def eig_hermitian(a, max_sweeps: int = 100) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
-
-    Converges quadratically; the off-diagonal norm is driven below
-    ``1e-13 * max(1, |A|_max)`` so the reconstruction error stays well under
-    1e-9 relative.  Raises :class:`IterationLimitError` after ``max_sweeps``
-    sweeps, which signals pathological input.
-    """
-    m = hermitian(a)
-    n = m.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return EigenDecomposition(np.array([m[0, 0].real]), v)
-
-    scale = max(1.0, float(np.abs(m).max()))
-    stop = 1e-13 * scale
-    skip = stop / (4.0 * n * n)
-
-    converged = False
-    for _ in range(max_sweeps):
-        upper = np.triu(np.abs(m), k=1)
-        if upper.max() <= stop:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(m[p, q]) > skip:
-                    _rotate(m, v, p, q)
-    else:
-        upper = np.triu(np.abs(m), k=1)
-        converged = upper.max() <= stop
-    if not converged:
-        raise IterationLimitError(
-            f"Jacobi sweeps did not converge within {max_sweeps} sweeps"
-        )
-
-    w = np.real(np.diag(m)).copy()
+    w, v = np.linalg.eigh(hermitian(a))
     order = np.argsort(-w, kind="stable")
     return EigenDecomposition(w[order], v[:, order])
 
@@ -179,7 +106,6 @@ def factor_gram(g) -> np.ndarray:
     the embedding dimension to the numerical rank.  Raises
     :class:`NotPsdError` if ``G`` is not PSD within 1e-9.
     """
-    g = hermitian(g)
     dec = eig_hermitian(g)
     if dec.eigenvalues[-1] < -1e-9:
         raise NotPsdError(
@@ -189,6 +115,6 @@ def factor_gram(g) -> np.ndarray:
     if not np.any(keep):
         # Zero matrix: a single zero-dimensional ... keep one row of zeros so
         # downstream shapes stay valid.
-        return np.zeros((1, g.shape[0]), dtype=np.complex128)
+        return np.zeros((1, dec.eigenvalues.size), dtype=np.complex128)
     roots = np.sqrt(dec.eigenvalues[keep])
     return roots[:, None] * dec.eigenvectors[:, keep].conj().T

@@ -71,26 +71,33 @@ class SolverOptions:
     tolerance: float = 1e-7
     max_iterations: int = 200
     step_fraction: float = 0.98
-    verbose: bool = False
 
 
 @dataclass(frozen=True)
 class BlockSdpProblem:
-    """Prior-weighted Gram matrix, error budget and block count."""
+    """Prior-weighted Gram matrix, error budget and block count.
+
+    ``spectrum`` is the one eigendecomposition of ``gram``, taken when the
+    problem is built; the PSD check and the solver's support reduction both
+    read it.
+    """
 
     gram: np.ndarray
     error_budget: float
     block_count: int
+    spectrum: matlin.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = matlin.hermitian(self.gram)
         if g.shape[0] != self.block_count:
             raise ValidationError("block_count must match the Gram dimension")
-        if not matlin.is_psd(g, tol=1e-9):
+        spectrum = matlin.eig_hermitian(g)
+        if spectrum.eigenvalues[-1] < -1e-9:
             raise matlin.NotPsdError("problem Gram matrix is not PSD within 1e-9")
         if not 0.0 <= self.error_budget <= 1.0:
             raise ValidationError(f"error budget {self.error_budget} outside [0, 1]")
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "spectrum", spectrum)
         self.gram.setflags(write=False)
 
 
@@ -113,11 +120,15 @@ class BlockSdpSolution:
     gap: float
 
 
-def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpProblem:
-    """Assemble the prior-weighted Gram matrix G_jk = sqrt(p_j p_k) <eta_j|eta_k>."""
+def _weighted_gram(cfg: InterferometerConfig) -> np.ndarray:
+    """Prior-weighted Gram matrix G_jk = sqrt(p_j p_k) <eta_j|eta_k>."""
     root = np.sqrt(cfg.priors)
-    gram = root[:, None] * root[None, :] * cfg.gram
-    return BlockSdpProblem(gram=gram, error_budget=float(error_budget),
+    return root[:, None] * root[None, :] * cfg.gram
+
+
+def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpProblem:
+    """Assemble the problem on the prior-weighted Gram matrix of ``cfg``."""
+    return BlockSdpProblem(gram=_weighted_gram(cfg), error_budget=float(error_budget),
                            block_count=cfg.n_paths)
 
 
@@ -231,14 +242,14 @@ class _MarginCore:
             kappa += np.vdot(self.betas[j], wbw).real
         dvec = dmat.reshape(-1)
         try:
-            lu = _LuSolve(t_mat)
+            chol = _CholeskySolve(t_mat)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError("Schur complement factorization failed") from exc
-        t_inv_d = lu.solve(dvec)
+        t_inv_d = chol.solve(dvec)
         denom = kappa - np.vdot(dvec, t_inv_d).real
 
         def solve_fn(rhs_h, rhs_s):
-            u = lu.solve(rhs_h.reshape(-1))
+            u = chol.solve(rhs_h.reshape(-1))
             t_step = (rhs_s - np.vdot(dvec, u).real) / denom
             y = (u - t_step * t_inv_d).reshape(r, r)
             return _herm(y), float(t_step)
@@ -304,13 +315,13 @@ class _UsdCore:
             u = self.rank1[j].reshape(-1)
             t_mat += w2 * np.outer(u, u.conj())
         try:
-            lu = _LuSolve(t_mat)
+            chol = _CholeskySolve(t_mat)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError("Schur complement factorization failed") from exc
 
         def solve_fn(rhs_h, rhs_s):
             del rhs_s
-            y = lu.solve(rhs_h.reshape(-1)).reshape(r, r)
+            y = chol.solve(rhs_h.reshape(-1)).reshape(r, r)
             return _herm(y), 0.0
 
         return solve_fn
@@ -323,7 +334,7 @@ class _UsdCore:
         return 1.0 + np.vdot(self.gt, y).real
 
 
-class _LuSolve:
+class _CholeskySolve:
     """One Cholesky factorization of the Schur matrix, reused per iteration."""
 
     def __init__(self, a: np.ndarray):
@@ -436,8 +447,7 @@ def _run_ipm(core, options: SolverOptions):
     return x, y, t, status, iterations, core.primal_objective(x), core.dual_objective(y, t), gap
 
 
-def _support(gram: np.ndarray):
-    dec = matlin.eig_hermitian(gram)
+def _support(dec: matlin.EigenDecomposition):
     w = dec.eigenvalues
     scale = max(float(w[0]), 0.0)
     keep = w > max(SUPPORT_RTOL * max(scale, 1e-300), 0.0)
@@ -470,7 +480,7 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
     """
     options = options or SolverOptions()
     n = problem.block_count
-    gt, q = _support(problem.gram)
+    gt, q = _support(problem.spectrum)
     r = gt.shape[0]
     if r == 0:  # zero Gram matrix: nothing to discriminate
         return _trivial_solution(problem)
@@ -504,11 +514,10 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
 
     slack = problem.gram - sum(blocks)
     objective = min(max(pobj, 0.0), 1.0)
-    if options.verbose or log.isEnabledFor(logging.INFO):
-        log.info(
-            "solve: n=%d r=%d budget=%.3g status=%s iters=%d objective=%.9f gap=%.2e",
-            n, r, problem.error_budget, status, iterations, objective, gap,
-        )
+    log.info(
+        "solve: n=%d r=%d budget=%.3g status=%s iters=%d objective=%.9f gap=%.2e",
+        n, r, problem.error_budget, status, iterations, objective, gap,
+    )
     return BlockSdpSolution(
         blocks=blocks,
         objective=objective,
@@ -553,8 +562,7 @@ def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmS
         raise ValidationError(
             f"POVM extraction needs an optimal solution, got status {solution.status!r}"
         )
-    gram = build_problem(cfg, 0.0).gram
-    f = matlin.factor_gram(gram)
+    f = matlin.factor_gram(_weighted_gram(cfg))
     r, n = f.shape
     b = np.linalg.solve(f @ f.conj().T, f)  # (F F^H)^{-1} F, pseudo-inverse transpose
     operators = [_herm(b @ z_j @ b.conj().T) for z_j in solution.blocks]

@@ -14,6 +14,17 @@ class TestOutcomeInvariants:
         with pytest.raises(matlin.ValidationError):
             disc.DiscriminationOutcome(1.2, -0.2, 0.0, "sdp")
 
+    def test_outcome_from_solution_clamps_error_to_conclusive(self):
+        sol = sdp.BlockSdpSolution(
+            blocks=[], objective=0.4, slack_psd=np.zeros((2, 2)),
+            error_used=0.6 + 1e-9, status="optimal", iterations=0,
+            dual_objective=0.4, gap=0.0)
+        out = disc.outcome_from_solution(sol)
+        assert out.method == "sdp"
+        assert out.p_failure == 0.4
+        assert out.p_error == 1.0 - 0.4
+        assert abs(out.p_success) <= 1e-15
+
 
 class TestFamilyConfigs:
     def test_symmetric_overlap_range(self):

@@ -74,6 +74,20 @@ class TestBuildProblem:
         with pytest.raises(matlin.ValidationError):
             sdp.build_problem(cfg, 1.5)
 
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_one_decomposition_per_solve(self, monkeypatch, pe):
+        cfg = random_config(4, 4, 5)
+        calls = []
+        eig = matlin.eig_hermitian
+
+        def counting_eig(a):
+            calls.append(a)
+            return eig(a)
+
+        monkeypatch.setattr(matlin, "eig_hermitian", counting_eig)
+        assert sdp.solve(sdp.build_problem(cfg, pe)).status == "optimal"
+        assert len(calls) == 1
+
 
 def assert_solution_invariants(problem, solution):
     assert solution.status == "optimal"
