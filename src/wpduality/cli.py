@@ -3,7 +3,7 @@
 Subcommands reproduce the three reference figures as data files, solve
 user-supplied instances, and run seeded random-ensemble scans of every
 duality relation.  Exit codes: 0 all checks satisfied, 1 violation found,
-2 input or validation error, 3 solver failure.
+2 input or validation error, 3 solver failure (a non-optimal solve status).
 """
 
 from __future__ import annotations
@@ -165,14 +165,7 @@ def cmd_figure2(args) -> int:
         for sample, cfg, coherence_bits in _ensemble(n, args):
             coh = coherence_bits / log_n
             for pe in budgets:
-                try:
-                    sol = sdp.solve(sdp.build_problem(cfg, pe), options)
-                except sdp.NumericalBreakdownError:
-                    failures += 1
-                    rows.append(["sample", n, sample, pe,
-                                 float("nan"), float("nan"), coh,
-                                 float("nan"), "breakdown"])
-                    continue
+                sol = sdp.solve(sdp.build_problem(cfg, pe), options)
                 if sol.status != "optimal":
                     failures += 1
                 report = duality.check_error_margin_duality(
@@ -231,11 +224,7 @@ def cmd_solve(args) -> int:
     cfg, budget = _load_instance(args.instance)
     if args.error_budget is not None:
         budget = _parse_float_list(args.error_budget, "--error-budget")[0]
-    try:
-        solution = sdp.solve(sdp.build_problem(cfg, budget), _solver_options(args))
-    except sdp.NumericalBreakdownError as exc:
-        log.error("solver breakdown: %s", exc)
-        return EXIT_SOLVER
+    solution = sdp.solve(sdp.build_problem(cfg, budget), _solver_options(args))
     if solution.status != "optimal":
         log.error("solver did not converge: status %s", solution.status)
         return EXIT_SOLVER
@@ -283,21 +272,14 @@ def cmd_scan(args) -> int:
     iteration_counts: list[int] = []
     statuses: dict[str, int] = {}
     violations = 0
-    breakdowns = 0
     checked = 0
     for n in n_list:
         for _, cfg, coherence_bits in _ensemble(n, args):
             for pe in budgets:
-                try:
-                    sol = sdp.solve(sdp.build_problem(cfg, pe), options)
-                except sdp.NumericalBreakdownError:
-                    breakdowns += 1
-                    statuses["breakdown"] = statuses.get("breakdown", 0) + 1
-                    continue
+                sol = sdp.solve(sdp.build_problem(cfg, pe), options)
                 statuses[sol.status] = statuses.get(sol.status, 0) + 1
                 iteration_counts.append(sol.iterations)
                 if sol.status != "optimal":
-                    breakdowns += 1
                     continue
                 outcome = disc.outcome_from_solution(sol)
                 for report in duality.all_checks(cfg, outcome, coherence_bits):
@@ -327,7 +309,7 @@ def cmd_scan(args) -> int:
         },
     }
     _write_json(args.out, payload)
-    if breakdowns:
+    if set(statuses) - {"optimal"}:
         return EXIT_SOLVER
     return EXIT_VIOLATION if violations else EXIT_OK
 
@@ -408,10 +390,6 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except sdp.NumericalBreakdownError as exc:
-        log.error("solver breakdown: %s", exc)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 def console_main() -> None:

@@ -29,6 +29,10 @@ The Schur complement is assembled in matrix-vector coordinates, where the
 congruence maps Y -> W Y W become Kronecker products; the resulting system is
 Hermitian positive definite of size rank(G)^2 (+1), tiny for the problem
 sizes targeted here.
+
+A solve never raises for a failed iteration.  Its status, ``"optimal"``,
+``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
+``"breakdown"`` (a factorization or solve failed), says how it ended.
 """
 
 from __future__ import annotations
@@ -58,10 +62,11 @@ log = logging.getLogger("wpduality.sdp")
 
 SUPPORT_RTOL = 1e-10  # relative eigenvalue cutoff for the support of G
 RANGE_TOL = 1e-6  # residual below which e_j counts as lying in range(G)
+STEP_FRACTION = 0.98  # share of the distance to the cone boundary per step
 
 
 class NumericalBreakdownError(RuntimeError):
-    """A barrier-system factorization failed; G is likely ill-conditioned."""
+    """Raised by ``discriminate`` for a non-optimal solve; ``solve`` never raises it."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class SolverOptions:
 
     tolerance: float = 1e-7
     max_iterations: int = 200
-    step_fraction: float = 0.98
 
 
 @dataclass(frozen=True)
@@ -147,11 +151,8 @@ class _NtScaling:
     __slots__ = ("rw", "rw_inv", "w", "lam", "lx", "lz")
 
     def __init__(self, x: np.ndarray, z: np.ndarray):
-        try:
-            self.lx = np.linalg.cholesky(x)
-            self.lz = np.linalg.cholesky(z)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError("iterate left the PSD cone") from exc
+        self.lx = np.linalg.cholesky(x)
+        self.lz = np.linalg.cholesky(z)
         u, sig, vh = np.linalg.svd(self.lz.conj().T @ self.lx)
         del u
         v = vh.conj().T
@@ -177,35 +178,32 @@ def _max_step(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> float
     return -1.0 / lam_min
 
 
+# A problem core holds only what differs between P_e > 0 and P_e = 0: gt, pe
+# (0.0 when there is no error row), the variable-block count n_var,
+# initial_point, apply_a, apply_a_adjoint and schur_solver.
+
+
 class _MarginCore:
     """P_e > 0 problem on the support of G: N full blocks + PSD slack + scalar."""
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray, pe: float):
         self.gt = gt
-        self.qs = qs
         self.pe = pe
         self.r = gt.shape[0]
-        self.n = qs.shape[0]
+        self.n_var = qs.shape[0]
         eye = np.eye(self.r, dtype=np.complex128)
         self.betas = [eye - np.outer(q, q.conj()) for q in qs]
         self.beta_traces = np.array([b.trace().real for b in self.betas])
-        self.sizes = [self.r] * self.n + [self.r, 1]
-        self.c_blocks = [-eye] * self.n + [
-            np.zeros((self.r, self.r), dtype=np.complex128),
-            np.zeros((1, 1), dtype=np.complex128),
-        ]
-        self.has_scalar_row = True
-        self.b_norm = float(np.linalg.norm(gt) + abs(pe))
 
     def initial_point(self):
         lam_min = float(np.diag(self.gt).real.min())
-        eps = lam_min / (2.0 * self.n)
+        eps = lam_min / (2.0 * self.n_var)
         total_beta = float(self.beta_traces.sum())
         if total_beta > 0:
             eps = min(eps, self.pe / (2.0 * total_beta))
         eye = np.eye(self.r, dtype=np.complex128)
-        x = [eps * eye for _ in range(self.n)]
-        x.append(self.gt - self.n * eps * eye)
+        x = [eps * eye for _ in range(self.n_var)]
+        x.append(self.gt - self.n_var * eps * eye)
         x.append(np.array([[self.pe - eps * total_beta]], dtype=np.complex128))
         y = np.zeros((self.r, self.r), dtype=np.complex128) - 2.0 * eye
         t = -1.0
@@ -215,10 +213,10 @@ class _MarginCore:
         return x, y, t, z
 
     def apply_a(self, blocks):
-        h = blocks[self.n].copy()
-        for zb in blocks[: self.n]:
+        h = blocks[self.n_var].copy()
+        for zb in blocks[: self.n_var]:
             h += zb
-        s = blocks[self.n + 1][0, 0].real
+        s = blocks[self.n_var + 1][0, 0].real
         for beta, zb in zip(self.betas, blocks):
             s += np.vdot(beta, zb).real
         return h, float(s)
@@ -231,22 +229,21 @@ class _MarginCore:
 
     def schur_solver(self, scalings):
         r = self.r
-        t_mat = np.kron(scalings[self.n].w, scalings[self.n].w.conj())
+        t_mat = np.kron(scalings[self.n_var].w, scalings[self.n_var].w.conj())
         dmat = np.zeros((r, r), dtype=np.complex128)
-        kappa = scalings[self.n + 1].w[0, 0].real ** 2
-        for j in range(self.n):
+        kappa = scalings[self.n_var + 1].w[0, 0].real ** 2
+        for j in range(self.n_var):
             w = scalings[j].w
             t_mat += np.kron(w, w.conj())
             wbw = w @ self.betas[j] @ w
             dmat += wbw
             kappa += np.vdot(self.betas[j], wbw).real
         dvec = dmat.reshape(-1)
-        try:
-            chol = _CholeskySolve(t_mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError("Schur complement factorization failed") from exc
+        chol = _CholeskySolve(t_mat)
         t_inv_d = chol.solve(dvec)
         denom = kappa - np.vdot(dvec, t_inv_d).real
+        if not denom > 0.0:  # last pivot of the bordered Schur matrix
+            raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
         def solve_fn(rhs_h, rhs_s):
             u = chol.solve(rhs_h.reshape(-1))
@@ -256,34 +253,22 @@ class _MarginCore:
 
         return solve_fn
 
-    def primal_objective(self, blocks):
-        return 1.0 - sum(b.trace().real for b in blocks[: self.n])
-
-    def dual_objective(self, y, t):
-        return 1.0 + np.vdot(self.gt, y).real + self.pe * t
-
 
 class _UsdCore:
     """P_e = 0 problem: scalar weights on identifiable directions + PSD slack."""
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray):
         self.gt = gt
+        self.pe = 0.0
         self.qs = qs  # unit rows, one per identifiable state
         self.r = gt.shape[0]
-        self.m = qs.shape[0]
+        self.n_var = qs.shape[0]
         self.rank1 = [np.outer(q, q.conj()) for q in qs]
-        self.sizes = [1] * self.m + [self.r]
-        self.c_blocks = [-np.ones((1, 1), dtype=np.complex128)] * self.m + [
-            np.zeros((self.r, self.r), dtype=np.complex128)
-        ]
-        self.has_scalar_row = False
-        self.pe = 0.0
-        self.b_norm = float(np.linalg.norm(gt))
 
     def initial_point(self):
         lam_min = float(np.diag(self.gt).real.min())
-        eps = lam_min / (2.0 * self.m)
-        x = [np.array([[eps]], dtype=np.complex128) for _ in range(self.m)]
+        eps = lam_min / (2.0 * self.n_var)
+        x = [np.array([[eps]], dtype=np.complex128) for _ in range(self.n_var)]
         slack = self.gt.astype(np.complex128).copy()
         for proj in self.rank1:
             slack -= eps * proj
@@ -296,10 +281,10 @@ class _UsdCore:
         return x, y, 0.0, z
 
     def apply_a(self, blocks):
-        h = blocks[self.m].copy()
+        h = blocks[self.n_var].copy()
         for proj, zb in zip(self.rank1, blocks):
             h += zb[0, 0].real * proj
-        return h, None
+        return h, 0.0
 
     def apply_a_adjoint(self, y, t):
         out = [np.array([[np.vdot(q, y @ q).real]], dtype=np.complex128)
@@ -309,15 +294,12 @@ class _UsdCore:
 
     def schur_solver(self, scalings):
         r = self.r
-        t_mat = np.kron(scalings[self.m].w, scalings[self.m].w.conj())
-        for j in range(self.m):
+        t_mat = np.kron(scalings[self.n_var].w, scalings[self.n_var].w.conj())
+        for j in range(self.n_var):
             w2 = scalings[j].w[0, 0].real ** 2
             u = self.rank1[j].reshape(-1)
             t_mat += w2 * np.outer(u, u.conj())
-        try:
-            chol = _CholeskySolve(t_mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError("Schur complement factorization failed") from exc
+        chol = _CholeskySolve(t_mat)
 
         def solve_fn(rhs_h, rhs_s):
             del rhs_s
@@ -325,13 +307,6 @@ class _UsdCore:
             return _herm(y), 0.0
 
         return solve_fn
-
-    def primal_objective(self, blocks):
-        return 1.0 - sum(b[0, 0].real for b in blocks[: self.m])
-
-    def dual_objective(self, y, t):
-        del t
-        return 1.0 + np.vdot(self.gt, y).real
 
 
 class _CholeskySolve:
@@ -355,9 +330,7 @@ def _newton_step(core, scalings, rp_h, rp_s, rd, rc, schur_solve):
     for sc, rd_b, rc_b in zip(scalings, rd, rc):
         filt.append(rc_b - sc.w @ rd_b @ sc.w)
     ae_h, ae_s = core.apply_a(filt)
-    rhs_h = rp_h - ae_h
-    rhs_s = (rp_s - ae_s) if core.has_scalar_row else None
-    y_step, t_step = schur_solve(rhs_h, rhs_s)
+    y_step, t_step = schur_solve(rp_h - ae_h, rp_s - ae_s)
     adj = core.apply_a_adjoint(y_step, t_step)
     dz = [rd_b - adj_b for rd_b, adj_b in zip(rd, adj)]
     dx = [e_b + sc.w @ adj_b @ sc.w
@@ -365,11 +338,21 @@ def _newton_step(core, scalings, rp_h, rp_s, rd, rc, schur_solve):
     return dx, y_step, t_step, dz
 
 
+def _objectives_and_gap(core, x, y, t, z):
+    """Primal 1 - sum_j tr x_j, dual 1 + <gt, y> + P_e t, and gap <Z, X>."""
+    pobj = 1.0 - sum(b.trace().real for b in x[: core.n_var])
+    dobj = 1.0 + np.vdot(core.gt, y).real + core.pe * t
+    return pobj, dobj, sum(np.vdot(z_b, x_b).real for x_b, z_b in zip(x, z))
+
+
 def _run_ipm(core, options: SolverOptions):
     x, y, t, z = core.initial_point()
-    nu = float(sum(core.sizes))
-    c_norm = 1.0 + np.sqrt(sum(np.linalg.norm(c) ** 2 for c in core.c_blocks))
-    b_norm = 1.0 + core.b_norm
+    nu = float(sum(x_b.shape[0] for x_b in x))
+    # Cost C = -I on the n_var variable blocks and 0 on the slacks.
+    c_blocks = [-np.eye(x_b.shape[0], dtype=np.complex128) if j < core.n_var
+                else np.zeros_like(x_b) for j, x_b in enumerate(x)]
+    c_scale = 1.0 + np.sqrt(sum(np.linalg.norm(c) ** 2 for c in c_blocks))
+    b_scale = 1.0 + float(np.linalg.norm(core.gt) + abs(core.pe))
     tol = options.tolerance
     status = "max-iterations"
     iterations = 0
@@ -378,17 +361,14 @@ def _run_ipm(core, options: SolverOptions):
         iterations = iteration
         ax_h, ax_s = core.apply_a(x)
         rp_h = core.gt - ax_h
-        rp_s = (core.pe - ax_s) if core.has_scalar_row else None
+        rp_s = core.pe - ax_s
         adj = core.apply_a_adjoint(y, t)
-        rd = [c_b - z_b - adj_b for c_b, z_b, adj_b in zip(core.c_blocks, z, adj)]
+        rd = [c_b - z_b - adj_b for c_b, z_b, adj_b in zip(c_blocks, z, adj)]
 
-        gap = sum(np.vdot(z_b, x_b).real for x_b, z_b in zip(x, z))
-        mu = gap / nu
-        pobj = core.primal_objective(x)
-        dobj = core.dual_objective(y, t)
-        pinf = np.linalg.norm(rp_h) + (abs(rp_s) if rp_s is not None else 0.0)
+        pobj, dobj, gap = _objectives_and_gap(core, x, y, t, z)
+        pinf = np.linalg.norm(rp_h) + abs(rp_s)
         dinf = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd))
-        crit = max(pinf / b_norm, dinf / c_norm, abs(gap), abs(pobj - dobj))
+        crit = max(pinf / b_scale, dinf / c_scale, abs(gap), abs(pobj - dobj))
         log.debug(
             "iter %3d  pobj=% .9e dobj=% .9e gap=%.2e pinf=%.1e dinf=%.1e",
             iteration, pobj, dobj, gap, pinf, dinf,
@@ -398,44 +378,52 @@ def _run_ipm(core, options: SolverOptions):
             iterations = iteration - 1
             break
 
-        scalings = [_NtScaling(x_b, z_b) for x_b, z_b in zip(x, z)]
-        schur_solve = core.schur_solver(scalings)
+        # The step stays inline so that its Schur-sized temporaries live into the
+        # next iteration: freed at a helper's return, glibc trims and re-faults
+        # them, which made N = 16, P_e = 0 solves about 20% slower.
+        mu = gap / nu
+        try:  # an NT scaling, the Schur factorization or a solve can fail
+            scalings = [_NtScaling(x_b, z_b) for x_b, z_b in zip(x, z)]
+            schur_solve = core.schur_solver(scalings)
 
-        # Predictor: pure Newton step toward the boundary.
-        rc_aff = [-x_b for x_b in x]
-        dx_a, dy_a, dt_a, dz_a = _newton_step(
-            core, scalings, rp_h, rp_s, rd, rc_aff, schur_solve
-        )
-        alpha_p = min(1.0, min(_max_step(sc, d, True) for sc, d in zip(scalings, dx_a)))
-        alpha_d = min(1.0, min(_max_step(sc, d, False) for sc, d in zip(scalings, dz_a)))
-        gap_aff = sum(
-            np.vdot(z_b + alpha_d * dz_b, x_b + alpha_p * dx_b).real
-            for x_b, z_b, dx_b, dz_b in zip(x, z, dx_a, dz_a)
-        )
-        sigma = min(1.0, max(1e-10, gap_aff / gap) ** 3)
+            # Predictor: pure Newton step toward the boundary.
+            rc_aff = [-x_b for x_b in x]
+            dx_a, dy_a, dt_a, dz_a = _newton_step(
+                core, scalings, rp_h, rp_s, rd, rc_aff, schur_solve
+            )
+            alpha_p = min(1.0, min(_max_step(sc, d, True) for sc, d in zip(scalings, dx_a)))
+            alpha_d = min(1.0, min(_max_step(sc, d, False) for sc, d in zip(scalings, dz_a)))
+            gap_aff = sum(
+                np.vdot(z_b + alpha_d * dz_b, x_b + alpha_p * dx_b).real
+                for x_b, z_b, dx_b, dz_b in zip(x, z, dx_a, dz_a)
+            )
+            sigma = min(1.0, max(1e-10, gap_aff / gap) ** 3)
 
-        # Corrector with the second-order term in the scaled space, where the
-        # scaled point is diagonal and the Lyapunov inverse is entrywise.
-        rc = []
-        target = 2.0 * sigma * mu
-        for sc, dx_b, dz_b in zip(scalings, dx_a, dz_a):
-            du = sc.rw_inv @ dx_b @ sc.rw_inv.conj().T
-            dv = sc.rw.conj().T @ dz_b @ sc.rw
-            h2 = du @ dv
-            h2 = h2 + h2.conj().T
-            num = -h2
-            idx = np.arange(num.shape[0])
-            num[idx, idx] += target - 2.0 * sc.lam ** 2
-            num /= sc.lam[:, None] + sc.lam[None, :]
-            rc.append(sc.rw @ num @ sc.rw.conj().T)
+            # Corrector with the second-order term in the scaled space, where the
+            # scaled point is diagonal and the Lyapunov inverse is entrywise.
+            rc = []
+            target = 2.0 * sigma * mu
+            for sc, dx_b, dz_b in zip(scalings, dx_a, dz_a):
+                du = sc.rw_inv @ dx_b @ sc.rw_inv.conj().T
+                dv = sc.rw.conj().T @ dz_b @ sc.rw
+                h2 = du @ dv
+                h2 = h2 + h2.conj().T
+                num = -h2
+                idx = np.arange(num.shape[0])
+                num[idx, idx] += target - 2.0 * sc.lam ** 2
+                num /= sc.lam[:, None] + sc.lam[None, :]
+                rc.append(sc.rw @ num @ sc.rw.conj().T)
 
-        dx, dy, dt, dz = _newton_step(core, scalings, rp_h, rp_s, rd, rc, schur_solve)
-        step = options.step_fraction
-        alpha_p = min(1.0, step * min(
-            _max_step(sc, d, True) for sc, d in zip(scalings, dx)))
-        alpha_d = min(1.0, step * min(
-            _max_step(sc, d, False) for sc, d in zip(scalings, dz)))
+            dx, dy, dt, dz = _newton_step(core, scalings, rp_h, rp_s, rd, rc, schur_solve)
+            alpha_p = min(1.0, STEP_FRACTION * min(
+                _max_step(sc, d, True) for sc, d in zip(scalings, dx)))
+            alpha_d = min(1.0, STEP_FRACTION * min(
+                _max_step(sc, d, False) for sc, d in zip(scalings, dz)))
+        except np.linalg.LinAlgError:
+            status = "breakdown"
+            break
         if max(alpha_p, alpha_d) < 1e-10:
+            status = "stalled"
             break
 
         x = [_herm(x_b + alpha_p * dx_b) for x_b, dx_b in zip(x, dx)]
@@ -443,8 +431,8 @@ def _run_ipm(core, options: SolverOptions):
         y = _herm(y + alpha_d * dy)
         t = t + alpha_d * dt
 
-    gap = sum(np.vdot(z_b, x_b).real for x_b, z_b in zip(x, z))
-    return x, y, t, status, iterations, core.primal_objective(x), core.dual_objective(y, t), gap
+    pobj, dobj, gap = _objectives_and_gap(core, x, y, t, z)
+    return x, status, iterations, pobj, dobj, gap
 
 
 def _support(dec: matlin.EigenDecomposition):
@@ -475,8 +463,9 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
 
     Returns the optimal blocks in the original N-dimensional coordinates
     together with the slack G - sum z_j, the error actually used, and the
-    primal-dual certificate.  Raises :class:`NumericalBreakdownError` when a
-    barrier factorization fails, which signals an ill-conditioned Gram matrix.
+    primal-dual certificate.  Never raises for a failed iteration: the
+    status says how the solve ended, and a non-optimal one returns the last
+    iterate with ``gap`` the accuracy it reached.
     """
     options = options or SolverOptions()
     n = problem.block_count
@@ -494,7 +483,7 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
             return _trivial_solution(problem)
         qs = qs_all[members] / norms[members, None]
         core = _UsdCore(gt, qs)
-        x, y, t, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
+        x, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
         blocks = []
         weights = np.zeros(n)
         weights[members] = [max(x[i][0, 0].real, 0.0) for i in range(members.size)]
@@ -506,7 +495,7 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
     else:
         qs = q.conj()
         core = _MarginCore(gt, qs, problem.error_budget)
-        x, y, t, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
+        x, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
         blocks = [_herm(q @ x[j] @ q.conj().T) for j in range(n)]
         error_used = float(
             sum(np.vdot(beta, x[j]).real for j, beta in enumerate(core.betas))

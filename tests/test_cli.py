@@ -109,6 +109,21 @@ class TestFigure2:
         assert cli.main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_breakdown_rows_carry_last_iterate(self, tmp_path):
+        out = tmp_path / "f2.csv"
+        rc = cli.main([
+            "figure2", "--ensemble", "3", "--n-paths", "3", "--grid", "3",
+            "--error-budget", "0.05", "--seed", "5", "--tol", "1e-13",
+            "--out", str(out),
+        ])
+        assert rc == 3
+        header, rows = read_csv(out)
+        broken = [dict(zip(header, r)) for r in rows if r[-1] == "breakdown"]
+        assert broken
+        for record in broken:
+            for key in ("p_e_used", "p_f", "bound_lhs"):
+                assert math.isfinite(float(record[key]))
+
 
 class TestSolve:
     def test_identity_instance(self, tmp_path):
@@ -161,6 +176,14 @@ class TestSolve:
         inst = tmp_path / "inst.json"
         inst.write_text("{not json")
         assert cli.main(["solve", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_unattainable_tolerance_exit_code(self, tmp_path):
+        cfg = disc.random_config(3, 3, 0)
+        inst = tmp_path / "inst.json"
+        write_instance(inst, cfg.priors.tolist(), cfg.gram.real.tolist(),
+                       cfg.gram.imag.tolist(), budget=0.05)
+        assert cli.main(["solve", str(inst), "--tol", "1e-13",
+                         "--out", str(tmp_path / "r.json")]) == 3
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json"),
@@ -216,6 +239,15 @@ class TestScan:
         summary = json.loads(out.read_text())
         assert summary["min_coherence"] == 0.3
         assert summary["total_checks"] > 0
+
+    def test_breakdown_status_and_exit_code(self, tmp_path):
+        out = tmp_path / "scan.json"
+        rc = cli.main(["scan", "--n-paths", "3,4", "--ensemble", "3", "--seed", "5",
+                       "--tol", "1e-13", "--out", str(out)])
+        assert rc == 3
+        solver = json.loads(out.read_text())["solver"]
+        assert solver["statuses"]["breakdown"] > 0
+        assert solver["iterations_max"] > 0
 
     def test_bad_flag_value_exit_code(self, tmp_path):
         assert cli.main(["scan", "--ensemble", "1", "--n-paths", "x",

@@ -276,3 +276,9 @@ class TestDiscriminateFacade:
         out = disc.discriminate(cfg)
         sol = sdp.solve(sdp.build_problem(cfg, 0.0))
         assert out.p_failure == pytest.approx(sol.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_non_optimal_solve_raises(self, pe):
+        cfg = disc.random_config(3, 3, 0)
+        with pytest.raises(sdp.NumericalBreakdownError, match="'breakdown'"):
+            disc.discriminate(cfg, pe, sdp.SolverOptions(tolerance=1e-13))

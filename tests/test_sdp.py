@@ -262,6 +262,27 @@ class TestSolverDiagnostics:
         solution = sdp.solve(problem, sdp.SolverOptions(max_iterations=2))
         assert solution.status == "max-iterations"
 
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_stalled_step_status(self, pe, monkeypatch):
+        monkeypatch.setattr(sdp, "STEP_FRACTION", 1e-12)
+        solution = sdp.solve(sdp.build_problem(random_config(4, 4, 5), pe))
+        assert solution.status == "stalled"
+        assert solution.iterations == 1
+
+    @pytest.mark.parametrize("n,seed,pe,tol", [
+        (3, 0, 0.0, 1e-13),
+        (3, 0, 0.05, 1e-13),
+        (2, 5, 0.05, 1e-12),  # the bordered Schur pivot cancels to zero
+    ])
+    def test_unattainable_tolerance_returns_breakdown(self, n, seed, pe, tol):
+        problem = sdp.build_problem(random_config(n, n, seed), pe)
+        solution = sdp.solve(problem, sdp.SolverOptions(tolerance=tol))
+        assert solution.status == "breakdown"
+        assert np.isfinite(solution.objective)
+        assert np.isfinite(solution.dual_objective)
+        assert np.isfinite(solution.error_used)
+        assert solution.gap > 0
+
     def test_tight_tolerance(self):
         problem = sdp.build_problem(sym_config(3, 0.5), 0.0)
         solution = sdp.solve(problem, sdp.SolverOptions(tolerance=1e-9))
