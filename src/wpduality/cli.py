@@ -106,6 +106,9 @@ def _config_seed(master: int, index: int) -> int:
 def _ensemble(n: int, args):
     """Rejection-sampled random configs for ``--ensemble``, ``--seed`` and
     ``--min-coherence``: yields ``(sample, cfg, coherence_bits)``."""
+    if not 0.0 <= args.min_coherence < 1.0:  # at 1 or above sampling would never end
+        raise ValidationError(
+            f"--min-coherence must lie in [0, 1), got {args.min_coherence!r}")
     log_n = float(np.log2(n))
     produced = 0
     index = 0
@@ -182,6 +185,16 @@ def cmd_figure2(args) -> int:
     return EXIT_SOLVER if failures else EXIT_OK
 
 
+def _numeric_field(raw: dict, key: str, default=None) -> np.ndarray:
+    try:
+        value = np.asarray(raw.get(key, default), dtype=float)
+    except (TypeError, ValueError) as exc:  # strings, ragged nesting, objects
+        raise ValidationError(f"instance field {key!r} is not numeric: {exc}") from exc
+    if not np.isfinite(value).all():  # JSON null converts to NaN
+        raise ValidationError(f"instance field {key!r} must hold finite numbers")
+    return value
+
+
 def _load_instance(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -197,12 +210,15 @@ def _load_instance(path: str):
     for key in ("priors", "gram_re"):
         if key not in raw:
             raise ValidationError(f"instance file is missing required field {key!r}")
-    priors = np.asarray(raw["priors"], dtype=float)
-    gram_re = np.asarray(raw["gram_re"], dtype=float)
-    gram_im = np.asarray(raw.get("gram_im", np.zeros_like(gram_re)), dtype=float)
+    priors = _numeric_field(raw, "priors")
+    gram_re = _numeric_field(raw, "gram_re")
+    gram_im = _numeric_field(raw, "gram_im", np.zeros_like(gram_re))
     if gram_re.shape != gram_im.shape:
         raise ValidationError("fields gram_re and gram_im have different shapes")
-    budget = float(raw.get("error_budget", 0.0))
+    budget = _numeric_field(raw, "error_budget", 0.0)
+    if budget.ndim != 0:
+        raise ValidationError("field 'error_budget' must be a single number")
+    budget = float(budget)
     cfg = quantum.InterferometerConfig(priors, gram_re + 1j * gram_im)
     return cfg, budget
 
@@ -223,7 +239,10 @@ def cmd_solve(args) -> int:
     """Solve one instance file and emit a full JSON report."""
     cfg, budget = _load_instance(args.instance)
     if args.error_budget is not None:
-        budget = _parse_float_list(args.error_budget, "--error-budget")[0]
+        budgets = _parse_float_list(args.error_budget, "--error-budget")
+        if len(budgets) != 1:
+            raise ValidationError(f"solve --error-budget takes one number: {args.error_budget!r}")
+        budget = budgets[0]
     solution = sdp.solve(sdp.build_problem(cfg, budget), _solver_options(args))
     if solution.status != "optimal":
         log.error("solver did not converge: status %s", solution.status)

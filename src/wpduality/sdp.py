@@ -25,9 +25,15 @@ block structure above:
   solver runs on that reduced problem (the plain unambiguous-discrimination
   SDP), which restores a strict interior.
 
-The Schur complement is assembled in matrix-vector coordinates, where the
-congruence maps Y -> W Y W become Kronecker products; the resulting system is
-Hermitian positive definite of size rank(G)^2 (+1), tiny for the problem
+Both problems are written in the standard form A(X) = b with one dual vector
+y: b is vec(G) on the support of G, followed by P_e when there is an error
+row.  The Schur complement A(W A*(y) W) is assembled in matrix-vector
+coordinates, where the congruence Y -> W Y W becomes kron(W, conj(W)).  At
+P_e = 0 it is the slack's Kronecker product plus one rank-one term
+w_j^2 vec(q_j q_j^H) vec(q_j q_j^H)^H per identifiable state.  At P_e > 0 it
+is sum_j kron(W_j, conj(W_j)) bordered by the error row, which is eliminated
+through its scalar pivot before the rest is solved.  Either way a Hermitian
+positive definite system of size rank(G)^2 is factored, tiny for the problem
 sizes targeted here.
 
 A solve never raises for a failed iteration.  Its status, ``"optimal"``,
@@ -178,78 +184,67 @@ def _max_step(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> float
     return -1.0 / lam_min
 
 
-# A problem core holds only what differs between P_e > 0 and P_e = 0: gt, pe
-# (0.0 when there is no error row), the variable-block count n_var,
-# initial_point, apply_a, apply_a_adjoint and schur_solver.
+# A problem core holds only what differs between P_e > 0 and P_e = 0, in the
+# standard form A(X) = b with one dual vector y: the right-hand side b
+# (vec(gt), then P_e when there is an error row), the variable-block count
+# n_var, initial_point() -> (x, y, z), apply_a(blocks) -> vector,
+# apply_a_adjoint(y) -> blocks and schur_solver(scalings) -> solve(rhs) -> dy.
 
 
 class _MarginCore:
     """P_e > 0 problem on the support of G: N full blocks + PSD slack + scalar."""
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray, pe: float):
-        self.gt = gt
-        self.pe = pe
+        self.b = np.append(gt.reshape(-1), pe)
         self.r = gt.shape[0]
         self.n_var = qs.shape[0]
-        eye = np.eye(self.r, dtype=np.complex128)
-        self.betas = [eye - np.outer(q, q.conj()) for q in qs]
-        self.beta_traces = np.array([b.trace().real for b in self.betas])
+        self.betas = np.eye(self.r) - qs[:, :, None] * qs.conj()[:, None, :]
 
     def initial_point(self):
-        lam_min = float(np.diag(self.gt).real.min())
-        eps = lam_min / (2.0 * self.n_var)
-        total_beta = float(self.beta_traces.sum())
+        r, n = self.r, self.n_var
+        gt, pe = self.b[:-1].reshape(r, r), self.b[-1].real
+        eps = float(np.diag(gt).real.min()) / (2.0 * n)
+        total_beta = r * (n - 1.0)  # sum_j tr beta_j, as Q has orthonormal columns
         if total_beta > 0:
-            eps = min(eps, self.pe / (2.0 * total_beta))
-        eye = np.eye(self.r, dtype=np.complex128)
-        x = [eps * eye for _ in range(self.n_var)]
-        x.append(self.gt - self.n_var * eps * eye)
-        x.append(np.array([[self.pe - eps * total_beta]], dtype=np.complex128))
-        y = np.zeros((self.r, self.r), dtype=np.complex128) - 2.0 * eye
-        t = -1.0
+            eps = min(eps, pe / (2.0 * total_beta))
+        eye = np.eye(r, dtype=np.complex128)
+        x = [eps * eye for _ in range(n)]
+        x.append(gt - n * eps * eye)
+        x.append(np.array([[pe - eps * total_beta]], dtype=np.complex128))
+        y = np.append(-2.0 * eye.reshape(-1), -1.0)
         z = [eye + b for b in self.betas]
         z.append(2.0 * eye)
         z.append(np.array([[1.0]], dtype=np.complex128))
-        return x, y, t, z
+        return x, y, z
 
     def apply_a(self, blocks):
-        h = blocks[self.n_var].copy()
-        for zb in blocks[: self.n_var]:
-            h += zb
-        s = blocks[self.n_var + 1][0, 0].real
-        for beta, zb in zip(self.betas, blocks):
-            s += np.vdot(beta, zb).real
-        return h, float(s)
+        n = self.n_var
+        h = np.sum(blocks[: n + 1], axis=0)
+        s = blocks[n + 1][0, 0].real + np.vdot(self.betas, blocks[:n]).real
+        return np.append(h.reshape(-1), s)
 
-    def apply_a_adjoint(self, y, t):
-        out = [y + t * beta for beta in self.betas]
-        out.append(y.copy())
-        out.append(np.array([[t]], dtype=np.complex128))
-        return out
+    def apply_a_adjoint(self, y):
+        ym, t = y[:-1].reshape(self.r, self.r), y[-1].real
+        return [*(ym + t * self.betas), ym, np.array([[t]], dtype=np.complex128)]
 
     def schur_solver(self, scalings):
-        r = self.r
-        t_mat = np.kron(scalings[self.n_var].w, scalings[self.n_var].w.conj())
-        dmat = np.zeros((r, r), dtype=np.complex128)
-        kappa = scalings[self.n_var + 1].w[0, 0].real ** 2
-        for j in range(self.n_var):
-            w = scalings[j].w
-            t_mat += np.kron(w, w.conj())
-            wbw = w @ self.betas[j] @ w
-            dmat += wbw
-            kappa += np.vdot(self.betas[j], wbw).real
-        dvec = dmat.reshape(-1)
-        chol = _CholeskySolve(t_mat)
+        r, n = self.r, self.n_var
+        ws = np.array([sc.w for sc in scalings[: n + 1]])  # variable blocks + PSD slack
+        flat = ws.reshape(n + 1, r * r)
+        t_mat = (flat.T @ flat.conj()).reshape(r, r, r, r).transpose(0, 2, 1, 3)
+        wbw = ws[:n] @ self.betas @ ws[:n]
+        dvec = wbw.sum(axis=0).reshape(-1)
+        kappa = scalings[n + 1].w[0, 0].real ** 2 + np.vdot(self.betas, wbw).real
+        chol = _CholeskySolve(t_mat.reshape(r * r, r * r))
         t_inv_d = chol.solve(dvec)
         denom = kappa - np.vdot(dvec, t_inv_d).real
         if not denom > 0.0:  # last pivot of the bordered Schur matrix
             raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
-        def solve_fn(rhs_h, rhs_s):
-            u = chol.solve(rhs_h.reshape(-1))
-            t_step = (rhs_s - np.vdot(dvec, u).real) / denom
-            y = (u - t_step * t_inv_d).reshape(r, r)
-            return _herm(y), float(t_step)
+        def solve_fn(rhs):
+            u = chol.solve(rhs[:-1])
+            t_step = (rhs[-1].real - np.vdot(dvec, u).real) / denom
+            return np.append(_herm((u - t_step * t_inv_d).reshape(r, r)).reshape(-1), t_step)
 
         return solve_fn
 
@@ -258,53 +253,39 @@ class _UsdCore:
     """P_e = 0 problem: scalar weights on identifiable directions + PSD slack."""
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray):
-        self.gt = gt
-        self.pe = 0.0
-        self.qs = qs  # unit rows, one per identifiable state
+        self.b = gt.reshape(-1)
         self.r = gt.shape[0]
         self.n_var = qs.shape[0]
-        self.rank1 = [np.outer(q, q.conj()) for q in qs]
+        # Row j is vec(q_j q_j^H) for the unit row q_j of identifiable state j.
+        self.rank1 = (qs[:, :, None] * qs.conj()[:, None, :]).reshape(self.n_var, -1)
 
     def initial_point(self):
-        lam_min = float(np.diag(self.gt).real.min())
-        eps = lam_min / (2.0 * self.n_var)
+        r = self.r
+        eps = float(self.b[:: r + 1].real.min()) / (2.0 * self.n_var)
         x = [np.array([[eps]], dtype=np.complex128) for _ in range(self.n_var)]
-        slack = self.gt.astype(np.complex128).copy()
-        for proj in self.rank1:
-            slack -= eps * proj
-        x.append(slack)
-        eye = np.eye(self.r, dtype=np.complex128)
-        y = -2.0 * eye
-        z = [np.array([[2.0 * float(np.vdot(q, q).real) - 1.0]], dtype=np.complex128)
-             for q in self.qs]
-        z.append(2.0 * eye)
-        return x, y, 0.0, z
+        x.append((self.b - eps * self.rank1.sum(axis=0)).reshape(r, r))
+        y = -2.0 * np.eye(r, dtype=np.complex128).reshape(-1)
+        adj = self.apply_a_adjoint(y)
+        z = [-1.0 - a for a in adj[: self.n_var]]  # z = C - A*(y): dual feasible
+        z.append(-adj[-1])
+        return x, y, z
 
     def apply_a(self, blocks):
-        h = blocks[self.n_var].copy()
-        for proj, zb in zip(self.rank1, blocks):
-            h += zb[0, 0].real * proj
-        return h, 0.0
+        weights = np.array([zb[0, 0].real for zb in blocks[: self.n_var]])
+        return blocks[self.n_var].reshape(-1) + weights @ self.rank1
 
-    def apply_a_adjoint(self, y, t):
-        out = [np.array([[np.vdot(q, y @ q).real]], dtype=np.complex128)
-               for q in self.qs]
-        out.append(y.copy())
+    def apply_a_adjoint(self, y):
+        out = [np.array([[v]], dtype=np.complex128) for v in (self.rank1.conj() @ y).real]
+        out.append(y.reshape(self.r, self.r))
         return out
 
     def schur_solver(self, scalings):
-        r = self.r
-        t_mat = np.kron(scalings[self.n_var].w, scalings[self.n_var].w.conj())
-        for j in range(self.n_var):
-            w2 = scalings[j].w[0, 0].real ** 2
-            u = self.rank1[j].reshape(-1)
-            t_mat += w2 * np.outer(u, u.conj())
-        chol = _CholeskySolve(t_mat)
+        r, ws = self.r, scalings[self.n_var].w
+        w2 = np.array([sc.w[0, 0].real ** 2 for sc in scalings[: self.n_var]])
+        chol = _CholeskySolve(np.kron(ws, ws.conj()) + (self.rank1.T * w2) @ self.rank1.conj())
 
-        def solve_fn(rhs_h, rhs_s):
-            del rhs_s
-            y = chol.solve(rhs_h.reshape(-1)).reshape(r, r)
-            return _herm(y), 0.0
+        def solve_fn(rhs):
+            return _herm(chol.solve(rhs).reshape(r, r)).reshape(-1)
 
         return solve_fn
 
@@ -325,48 +306,43 @@ class _CholeskySolve:
         return np.linalg.solve(l.conj().T, np.linalg.solve(l, rhs))
 
 
-def _newton_step(core, scalings, rp_h, rp_s, rd, rc, schur_solve):
-    filt = []
-    for sc, rd_b, rc_b in zip(scalings, rd, rc):
-        filt.append(rc_b - sc.w @ rd_b @ sc.w)
-    ae_h, ae_s = core.apply_a(filt)
-    y_step, t_step = schur_solve(rp_h - ae_h, rp_s - ae_s)
-    adj = core.apply_a_adjoint(y_step, t_step)
+def _newton_step(core, scalings, rp, rd, rc, schur_solve):
+    filt = [rc_b - sc.w @ rd_b @ sc.w for sc, rd_b, rc_b in zip(scalings, rd, rc)]
+    dy = schur_solve(rp - core.apply_a(filt))
+    adj = core.apply_a_adjoint(dy)
     dz = [rd_b - adj_b for rd_b, adj_b in zip(rd, adj)]
     dx = [e_b + sc.w @ adj_b @ sc.w
           for e_b, sc, adj_b in zip(filt, scalings, adj)]
-    return dx, y_step, t_step, dz
+    return dx, dy, dz
 
 
-def _objectives_and_gap(core, x, y, t, z):
-    """Primal 1 - sum_j tr x_j, dual 1 + <gt, y> + P_e t, and gap <Z, X>."""
+def _objectives_and_gap(core, x, y, z):
+    """Primal 1 - sum_j tr x_j, dual 1 + Re<b, y>, and gap <Z, X>."""
     pobj = 1.0 - sum(b.trace().real for b in x[: core.n_var])
-    dobj = 1.0 + np.vdot(core.gt, y).real + core.pe * t
+    dobj = 1.0 + np.vdot(core.b, y).real
     return pobj, dobj, sum(np.vdot(z_b, x_b).real for x_b, z_b in zip(x, z))
 
 
 def _run_ipm(core, options: SolverOptions):
-    x, y, t, z = core.initial_point()
+    x, y, z = core.initial_point()
     nu = float(sum(x_b.shape[0] for x_b in x))
     # Cost C = -I on the n_var variable blocks and 0 on the slacks.
     c_blocks = [-np.eye(x_b.shape[0], dtype=np.complex128) if j < core.n_var
                 else np.zeros_like(x_b) for j, x_b in enumerate(x)]
     c_scale = 1.0 + np.sqrt(sum(np.linalg.norm(c) ** 2 for c in c_blocks))
-    b_scale = 1.0 + float(np.linalg.norm(core.gt) + abs(core.pe))
+    b_scale = 1.0 + float(np.linalg.norm(core.b))
     tol = options.tolerance
     status = "max-iterations"
     iterations = 0
 
     for iteration in range(1, options.max_iterations + 1):
         iterations = iteration
-        ax_h, ax_s = core.apply_a(x)
-        rp_h = core.gt - ax_h
-        rp_s = core.pe - ax_s
-        adj = core.apply_a_adjoint(y, t)
+        rp = core.b - core.apply_a(x)
+        adj = core.apply_a_adjoint(y)
         rd = [c_b - z_b - adj_b for c_b, z_b, adj_b in zip(c_blocks, z, adj)]
 
-        pobj, dobj, gap = _objectives_and_gap(core, x, y, t, z)
-        pinf = np.linalg.norm(rp_h) + abs(rp_s)
+        pobj, dobj, gap = _objectives_and_gap(core, x, y, z)
+        pinf = np.linalg.norm(rp)
         dinf = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd))
         crit = max(pinf / b_scale, dinf / c_scale, abs(gap), abs(pobj - dobj))
         log.debug(
@@ -388,9 +364,7 @@ def _run_ipm(core, options: SolverOptions):
 
             # Predictor: pure Newton step toward the boundary.
             rc_aff = [-x_b for x_b in x]
-            dx_a, dy_a, dt_a, dz_a = _newton_step(
-                core, scalings, rp_h, rp_s, rd, rc_aff, schur_solve
-            )
+            dx_a, _, dz_a = _newton_step(core, scalings, rp, rd, rc_aff, schur_solve)
             alpha_p = min(1.0, min(_max_step(sc, d, True) for sc, d in zip(scalings, dx_a)))
             alpha_d = min(1.0, min(_max_step(sc, d, False) for sc, d in zip(scalings, dz_a)))
             gap_aff = sum(
@@ -414,7 +388,7 @@ def _run_ipm(core, options: SolverOptions):
                 num /= sc.lam[:, None] + sc.lam[None, :]
                 rc.append(sc.rw @ num @ sc.rw.conj().T)
 
-            dx, dy, dt, dz = _newton_step(core, scalings, rp_h, rp_s, rd, rc, schur_solve)
+            dx, dy, dz = _newton_step(core, scalings, rp, rd, rc, schur_solve)
             alpha_p = min(1.0, STEP_FRACTION * min(
                 _max_step(sc, d, True) for sc, d in zip(scalings, dx)))
             alpha_d = min(1.0, STEP_FRACTION * min(
@@ -428,10 +402,9 @@ def _run_ipm(core, options: SolverOptions):
 
         x = [_herm(x_b + alpha_p * dx_b) for x_b, dx_b in zip(x, dx)]
         z = [_herm(z_b + alpha_d * dz_b) for z_b, dz_b in zip(z, dz)]
-        y = _herm(y + alpha_d * dy)
-        t = t + alpha_d * dt
+        y = y + alpha_d * dy  # dy's matrix part is Hermitian, so y stays so
 
-    pobj, dobj, gap = _objectives_and_gap(core, x, y, t, z)
+    pobj, dobj, gap = _objectives_and_gap(core, x, y, z)
     return x, status, iterations, pobj, dobj, gap
 
 
@@ -497,9 +470,7 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
         core = _MarginCore(gt, qs, problem.error_budget)
         x, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
         blocks = [_herm(q @ x[j] @ q.conj().T) for j in range(n)]
-        error_used = float(
-            sum(np.vdot(beta, x[j]).real for j, beta in enumerate(core.betas))
-        )
+        error_used = float(np.vdot(core.betas, x[:n]).real)
 
     slack = problem.gram - sum(blocks)
     objective = min(max(pobj, 0.0), 1.0)

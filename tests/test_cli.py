@@ -189,6 +189,25 @@ class TestSolve:
         assert cli.main(["solve", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("error_budget", "abc"),
+        ("error_budget", None),
+        ("priors", "ab"),
+        ("gram_re", [[1.0, 0.2], [0.2]]),
+    ])
+    def test_malformed_field_exit_code(self, tmp_path, field, value):
+        payload = {"priors": [0.5, 0.5], "gram_re": [[1.0, 0.2], [0.2, 1.0]]}
+        payload[field] = value
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(payload))
+        assert cli.main(["solve", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_error_budget_takes_one_number(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        write_instance(inst, [0.5, 0.5], [[1.0, 0.2], [0.2, 1.0]])
+        assert cli.main(["solve", str(inst), "--error-budget", "0.1,0.2",
+                         "--out", str(tmp_path / "r.json")]) == 2
+
 
 class TestScan:
     def test_zero_violations_and_exit_code(self, tmp_path):
@@ -252,6 +271,14 @@ class TestScan:
     def test_bad_flag_value_exit_code(self, tmp_path):
         assert cli.main(["scan", "--ensemble", "1", "--n-paths", "x",
                          "--out", str(tmp_path / "s.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["scan", "figure2"])
+    @pytest.mark.parametrize("value", ["1.0", "-0.1", "nan"])
+    def test_min_coherence_out_of_range_exit_code(self, tmp_path, command, value):
+        # At 1.0 no config passes the filter, so sampling would never end.
+        assert cli.main([command, "--n-paths", "3", "--ensemble", "1",
+                         "--min-coherence", value,
+                         "--out", str(tmp_path / "out")]) == 2
 
 
 class TestLogging:

@@ -288,3 +288,25 @@ class TestSolverDiagnostics:
         solution = sdp.solve(problem, sdp.SolverOptions(tolerance=1e-9))
         assert solution.gap <= 1e-9
         assert solution.objective == pytest.approx(0.5, abs=1e-8)
+
+
+class TestSchurSystem:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_schur_solve_inverts_a_w_a_adjoint(self, pe, seed):
+        """schur_solver(W) solves A(W A*(y) W) = rhs for y, for either core."""
+        problem = sdp.build_problem(random_config(4, 4, seed), pe)
+        gt, q = sdp._support(problem.spectrum)
+        core = sdp._MarginCore(gt, q.conj(), pe) if pe > 0 else sdp._UsdCore(gt, q.conj())
+        x, _, z = core.initial_point()
+        scalings = [sdp._NtScaling(x_b, z_b) for x_b, z_b in zip(x, z)]
+        r = gt.shape[0]
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        y = (m + m.conj().T).reshape(-1)
+        if core.b.size > r * r:  # the error row's multiplier is real
+            y = np.append(y, rng.standard_normal())
+        adj = core.apply_a_adjoint(y)
+        rhs = core.apply_a([sc.w @ a @ sc.w for sc, a in zip(scalings, adj)])
+        solved = core.schur_solver(scalings)(rhs)
+        assert np.linalg.norm(solved - y) <= 1e-9 * np.linalg.norm(y)
