@@ -35,6 +35,9 @@ DEFAULT_FIGURE_PATHS = "2,4,16,256"
 DEFAULT_FIG2_PATHS = "2,3"
 DEFAULT_FIG2_BUDGETS = "0.01,0.1,0.2,0.3,0.4,0.5"
 DEFAULT_SCAN_BUDGETS = "0,0.01,0.1,0.3"
+# Consecutive draws --min-coherence may reject before the ensemble gives up:
+# random configs rarely reach high coherence, so some thresholds are never met.
+MAX_REJECTED_DRAWS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -105,19 +108,27 @@ def _config_seed(master: int, index: int) -> int:
 
 def _ensemble(n: int, args):
     """Rejection-sampled random configs for ``--ensemble``, ``--seed`` and
-    ``--min-coherence``: yields ``(sample, cfg, coherence_bits)``."""
+    ``--min-coherence``: yields ``(sample, cfg, coherence_bits)``.  Raises
+    ``ValidationError`` after ``MAX_REJECTED_DRAWS`` consecutive rejections."""
     if not 0.0 <= args.min_coherence < 1.0:  # at 1 or above sampling would never end
         raise ValidationError(
             f"--min-coherence must lie in [0, 1), got {args.min_coherence!r}")
     log_n = float(np.log2(n))
     produced = 0
     index = 0
+    rejected = 0
     while produced < args.ensemble:
         cfg = disc.random_config(n, n, _config_seed(args.seed, index))
         index += 1
         coherence_bits = quantum.coherence_rel_ent(cfg)
         if coherence_bits / log_n < args.min_coherence:
+            rejected += 1
+            if rejected >= MAX_REJECTED_DRAWS:
+                raise ValidationError(
+                    f"no config at N = {n} reached --min-coherence {args.min_coherence!r} "
+                    f"in {MAX_REJECTED_DRAWS} consecutive draws")
             continue
+        rejected = 0
         yield produced, cfg, coherence_bits
         produced += 1
 
@@ -340,18 +351,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_out):
-        p.add_argument("--seed", type=int, default=1234, help="master RNG seed")
-        p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
-        p.add_argument("--max-iter", type=int, default=200, help="solver iteration cap")
+    # Each subcommand gets only the flags it reads.
+    def add_output(p, default_out):
         p.add_argument("--out", default=default_out, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format for tabular data")
 
+    def add_solver(p):
+        p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
+        p.add_argument("--max-iter", type=int, default=200, help="solver iteration cap")
+
+    def add_ensemble(p):
+        p.add_argument("--ensemble", type=int, default=500, help="samples per N")
+        p.add_argument("--min-coherence", type=float, default=0.0,
+                       help="rejection filter: keep configs with C above this")
+        p.add_argument("--seed", type=int, default=1234, help="master RNG seed")
+
     p1 = sub.add_parser("figure1", help="symmetric-family C vs D curves")
     p1.add_argument("--n-paths", default=DEFAULT_FIGURE_PATHS)
     p1.add_argument("--grid", type=int, default=201, help="points per curve")
-    add_common(p1, "figure1.csv")
+    add_output(p1, "figure1.csv")
     p1.set_defaults(func=cmd_figure1)
 
     p2 = sub.add_parser("figure2", help="random ensemble vs error-margin bound surface")
@@ -359,32 +378,31 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--grid", type=int, default=51, help="bound-surface grid points")
     p2.add_argument("--error-budget", default=DEFAULT_FIG2_BUDGETS,
                     help="comma-separated error budgets")
-    p2.add_argument("--ensemble", type=int, default=500, help="samples per N")
-    p2.add_argument("--min-coherence", type=float, default=0.0,
-                    help="rejection filter: keep configs with C above this")
-    add_common(p2, "figure2.csv")
+    add_ensemble(p2)
+    add_solver(p2)
+    add_output(p2, "figure2.csv")
     p2.set_defaults(func=cmd_figure2)
 
     p3 = sub.add_parser("figure3", help="asymmetric-family C vs D curves")
     p3.add_argument("--n-paths", default=DEFAULT_FIGURE_PATHS)
     p3.add_argument("--grid", type=int, default=201, help="points per curve")
-    add_common(p3, "figure3.csv")
+    add_output(p3, "figure3.csv")
     p3.set_defaults(func=cmd_figure3)
 
     ps = sub.add_parser("solve", help="solve an instance file and report")
     ps.add_argument("instance", help="JSON instance file")
     ps.add_argument("--error-budget", default=None,
                     help="override the instance error budget")
-    add_common(ps, None)
+    add_solver(ps)
+    ps.add_argument("--out", default=None, help="output path")
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("scan", help="random-ensemble duality scan")
     pc.add_argument("--n-paths", default="3")
     pc.add_argument("--error-budget", default=DEFAULT_SCAN_BUDGETS)
-    pc.add_argument("--ensemble", type=int, default=500)
-    pc.add_argument("--min-coherence", type=float, default=0.0,
-                    help="rejection filter: keep configs with C above this")
-    add_common(pc, None)
+    add_ensemble(pc)
+    add_solver(pc)
+    add_output(pc, None)  # scan always writes JSON but accepts --format, which scripts pass
     pc.set_defaults(func=cmd_scan)
 
     return parser

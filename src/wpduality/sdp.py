@@ -36,6 +36,12 @@ through its scalar pivot before the rest is solved.  Either way a Hermitian
 positive definite system of size rank(G)^2 is factored, tiny for the problem
 sizes targeted here.
 
+Each problem keeps its blocks in two stacks of equal-size blocks, (k, d, d)
+arrays, so each phase of an iteration is one batched numpy call per stack:
+[z_1..z_N then the PSD slack (N+1, r, r), the error row's scalar slack
+(1, 1, 1)] at P_e > 0 and [the N weights (N, 1, 1), the PSD slack (1, r, r)]
+at P_e = 0.
+
 A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 ``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
 ``"breakdown"`` (a factorization or solve failed), says how it ended.
@@ -148,10 +154,10 @@ def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpPro
 
 
 class _NtScaling:
-    """Nesterov-Todd scaling data for one PSD block.
+    """Nesterov-Todd scaling data for one stack of PSD blocks, shape (k, d, d).
 
-    ``rw`` satisfies W = rw rw^H with W Z W = X, and the scaled point
-    rw^H Z rw = rw^{-1} X rw^{-H} is the diagonal matrix diag(lam).
+    Per block, ``rw`` satisfies W = rw rw^H with W Z W = X, and the scaled
+    point rw^H Z rw = rw^{-1} X rw^{-H} is the diagonal matrix diag(lam).
     """
 
     __slots__ = ("rw", "rw_inv", "w", "lam", "lx", "lz")
@@ -159,26 +165,29 @@ class _NtScaling:
     def __init__(self, x: np.ndarray, z: np.ndarray):
         self.lx = np.linalg.cholesky(x)
         self.lz = np.linalg.cholesky(z)
-        u, sig, vh = np.linalg.svd(self.lz.conj().T @ self.lx)
-        del u
-        v = vh.conj().T
+        _, sig, vh = np.linalg.svd(_ct(self.lz) @ self.lx)
         inv_root = 1.0 / np.sqrt(sig)
-        self.rw = (self.lx @ v) * inv_root[None, :]
-        self.rw_inv = (np.sqrt(sig)[:, None] * v.conj().T) @ np.linalg.inv(self.lx)
-        self.w = self.rw @ self.rw.conj().T
+        self.rw = (self.lx @ _ct(vh)) * inv_root[:, None, :]
+        self.rw_inv = (np.sqrt(sig)[:, :, None] * vh) @ np.linalg.inv(self.lx)
+        self.w = self.rw @ _ct(self.rw)
         self.lam = sig
 
 
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + _ct(m)) / 2.0
 
 
 def _max_step(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> float:
-    """Largest alpha keeping X + alpha D (or Z + alpha D) PSD."""
+    """Largest alpha keeping every block of X + alpha D (or Z + alpha D) PSD."""
     l = scaling.lx if primal else scaling.lz
     tmp = np.linalg.solve(l, direction)
-    a = np.linalg.solve(l, tmp.conj().T)
-    lam_min = float(np.linalg.eigvalsh(_herm(a))[0])
+    a = np.linalg.solve(l, _ct(tmp))
+    lam_min = float(np.linalg.eigvalsh(_herm(a))[:, 0].min())
     if lam_min >= -1e-16:
         return np.inf
     return -1.0 / lam_min
@@ -189,6 +198,8 @@ def _max_step(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> float
 # (vec(gt), then P_e when there is an error row), the variable-block count
 # n_var, initial_point() -> (x, y, z), apply_a(blocks) -> vector,
 # apply_a_adjoint(y) -> blocks and schur_solver(scalings) -> solve(rhs) -> dy.
+# Blocks (x, z, A*(y), the scalings) are the two stacks of the module docstring;
+# the first starts with the n_var variable blocks.
 
 
 class _MarginCore:
@@ -208,33 +219,31 @@ class _MarginCore:
         if total_beta > 0:
             eps = min(eps, pe / (2.0 * total_beta))
         eye = np.eye(r, dtype=np.complex128)
-        x = [eps * eye for _ in range(n)]
-        x.append(gt - n * eps * eye)
-        x.append(np.array([[pe - eps * total_beta]], dtype=np.complex128))
+        x = [np.concatenate([np.broadcast_to(eps * eye, (n, r, r)), (gt - n * eps * eye)[None]]),
+             np.full((1, 1, 1), pe - eps * total_beta, dtype=np.complex128)]
         y = np.append(-2.0 * eye.reshape(-1), -1.0)
-        z = [eye + b for b in self.betas]
-        z.append(2.0 * eye)
-        z.append(np.array([[1.0]], dtype=np.complex128))
+        z = [np.concatenate([eye + self.betas, 2.0 * eye[None]]),
+             np.ones((1, 1, 1), dtype=np.complex128)]
         return x, y, z
 
     def apply_a(self, blocks):
-        n = self.n_var
-        h = np.sum(blocks[: n + 1], axis=0)
-        s = blocks[n + 1][0, 0].real + np.vdot(self.betas, blocks[:n]).real
+        h = blocks[0].sum(axis=0)
+        s = blocks[1][0, 0, 0].real + np.vdot(self.betas, blocks[0][: self.n_var]).real
         return np.append(h.reshape(-1), s)
 
     def apply_a_adjoint(self, y):
         ym, t = y[:-1].reshape(self.r, self.r), y[-1].real
-        return [*(ym + t * self.betas), ym, np.array([[t]], dtype=np.complex128)]
+        return [np.concatenate([ym + t * self.betas, ym[None]]),
+                np.full((1, 1, 1), t, dtype=np.complex128)]
 
     def schur_solver(self, scalings):
         r, n = self.r, self.n_var
-        ws = np.array([sc.w for sc in scalings[: n + 1]])  # variable blocks + PSD slack
+        ws = scalings[0].w  # variable blocks + PSD slack
         flat = ws.reshape(n + 1, r * r)
         t_mat = (flat.T @ flat.conj()).reshape(r, r, r, r).transpose(0, 2, 1, 3)
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
-        kappa = scalings[n + 1].w[0, 0].real ** 2 + np.vdot(self.betas, wbw).real
+        kappa = scalings[1].w[0, 0, 0].real ** 2 + np.vdot(self.betas, wbw).real
         chol = _CholeskySolve(t_mat.reshape(r * r, r * r))
         t_inv_d = chol.solve(dvec)
         denom = kappa - np.vdot(dvec, t_inv_d).real
@@ -262,26 +271,22 @@ class _UsdCore:
     def initial_point(self):
         r = self.r
         eps = float(self.b[:: r + 1].real.min()) / (2.0 * self.n_var)
-        x = [np.array([[eps]], dtype=np.complex128) for _ in range(self.n_var)]
-        x.append((self.b - eps * self.rank1.sum(axis=0)).reshape(r, r))
+        x = [np.full((self.n_var, 1, 1), eps, dtype=np.complex128),
+             (self.b - eps * self.rank1.sum(axis=0)).reshape(1, r, r)]
         y = -2.0 * np.eye(r, dtype=np.complex128).reshape(-1)
-        adj = self.apply_a_adjoint(y)
-        z = [-1.0 - a for a in adj[: self.n_var]]  # z = C - A*(y): dual feasible
-        z.append(-adj[-1])
-        return x, y, z
+        weights, slack = self.apply_a_adjoint(y)
+        return x, y, [-1.0 - weights, -slack]  # z = C - A*(y): dual feasible
 
     def apply_a(self, blocks):
-        weights = np.array([zb[0, 0].real for zb in blocks[: self.n_var]])
-        return blocks[self.n_var].reshape(-1) + weights @ self.rank1
+        return blocks[1].reshape(-1) + blocks[0][:, 0, 0].real @ self.rank1
 
     def apply_a_adjoint(self, y):
-        out = [np.array([[v]], dtype=np.complex128) for v in (self.rank1.conj() @ y).real]
-        out.append(y.reshape(self.r, self.r))
-        return out
+        weights = (self.rank1.conj() @ y).real.astype(np.complex128)
+        return [weights.reshape(self.n_var, 1, 1), y.reshape(1, self.r, self.r)]
 
     def schur_solver(self, scalings):
-        r, ws = self.r, scalings[self.n_var].w
-        w2 = np.array([sc.w[0, 0].real ** 2 for sc in scalings[: self.n_var]])
+        r, ws = self.r, scalings[1].w[0]
+        w2 = scalings[0].w[:, 0, 0].real ** 2
         chol = _CholeskySolve(np.kron(ws, ws.conj()) + (self.rank1.T * w2) @ self.rank1.conj())
 
         def solve_fn(rhs):
@@ -318,18 +323,18 @@ def _newton_step(core, scalings, rp, rd, rc, schur_solve):
 
 def _objectives_and_gap(core, x, y, z):
     """Primal 1 - sum_j tr x_j, dual 1 + Re<b, y>, and gap <Z, X>."""
-    pobj = 1.0 - sum(b.trace().real for b in x[: core.n_var])
+    pobj = 1.0 - np.trace(x[0][: core.n_var], axis1=1, axis2=2).real.sum()
     dobj = 1.0 + np.vdot(core.b, y).real
     return pobj, dobj, sum(np.vdot(z_b, x_b).real for x_b, z_b in zip(x, z))
 
 
 def _run_ipm(core, options: SolverOptions):
     x, y, z = core.initial_point()
-    nu = float(sum(x_b.shape[0] for x_b in x))
+    nu = float(sum(x_b.shape[0] * x_b.shape[1] for x_b in x))
     # Cost C = -I on the n_var variable blocks and 0 on the slacks.
-    c_blocks = [-np.eye(x_b.shape[0], dtype=np.complex128) if j < core.n_var
-                else np.zeros_like(x_b) for j, x_b in enumerate(x)]
-    c_scale = 1.0 + np.sqrt(sum(np.linalg.norm(c) ** 2 for c in c_blocks))
+    c_blocks = [np.zeros_like(x_b) for x_b in x]
+    c_blocks[0][: core.n_var] = -np.eye(x[0].shape[1])
+    c_scale = 1.0 + np.linalg.norm(c_blocks[0])
     b_scale = 1.0 + float(np.linalg.norm(core.b))
     tol = options.tolerance
     status = "max-iterations"
@@ -378,15 +383,14 @@ def _run_ipm(core, options: SolverOptions):
             rc = []
             target = 2.0 * sigma * mu
             for sc, dx_b, dz_b in zip(scalings, dx_a, dz_a):
-                du = sc.rw_inv @ dx_b @ sc.rw_inv.conj().T
-                dv = sc.rw.conj().T @ dz_b @ sc.rw
+                du = sc.rw_inv @ dx_b @ _ct(sc.rw_inv)
+                dv = _ct(sc.rw) @ dz_b @ sc.rw
                 h2 = du @ dv
-                h2 = h2 + h2.conj().T
-                num = -h2
-                idx = np.arange(num.shape[0])
-                num[idx, idx] += target - 2.0 * sc.lam ** 2
-                num /= sc.lam[:, None] + sc.lam[None, :]
-                rc.append(sc.rw @ num @ sc.rw.conj().T)
+                num = -(h2 + _ct(h2))
+                idx = np.arange(num.shape[1])
+                num[:, idx, idx] += target - 2.0 * sc.lam ** 2
+                num /= sc.lam[:, :, None] + sc.lam[:, None, :]
+                rc.append(sc.rw @ num @ _ct(sc.rw))
 
             dx, dy, dz = _newton_step(core, scalings, rp, rd, rc, schur_solve)
             alpha_p = min(1.0, STEP_FRACTION * min(
@@ -457,20 +461,16 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
         qs = qs_all[members] / norms[members, None]
         core = _UsdCore(gt, qs)
         x, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
-        blocks = []
-        weights = np.zeros(n)
-        weights[members] = [max(x[i][0, 0].real, 0.0) for i in range(members.size)]
-        for j in range(n):
-            b = np.zeros((n, n), dtype=np.complex128)
-            b[j, j] = weights[j]
-            blocks.append(b)
+        stack = np.zeros((n, n, n), dtype=np.complex128)  # block j is w_j |j><j|
+        stack[members, members, members] = np.maximum(x[0][:, 0, 0].real, 0.0)
+        blocks = list(stack)
         error_used = 0.0
     else:
         qs = q.conj()
         core = _MarginCore(gt, qs, problem.error_budget)
         x, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
-        blocks = [_herm(q @ x[j] @ q.conj().T) for j in range(n)]
-        error_used = float(np.vdot(core.betas, x[:n]).real)
+        blocks = [_herm(q @ x_j @ q.conj().T) for x_j in x[0][:n]]
+        error_used = float(np.vdot(core.betas, x[0][:n]).real)
 
     slack = problem.gram - sum(blocks)
     objective = min(max(pobj, 0.0), 1.0)

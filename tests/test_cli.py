@@ -295,3 +295,31 @@ class TestLogging:
         assert cli.main(["figure1", "--grid", "3", "--n-paths", "2",
                          "--out", str(out)]) == 0
         assert logging.getLogger().level == logging.WARNING
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("figure1", "--tol", "1e-9"),
+        ("figure1", "--seed", "3"),
+        ("figure1", "--max-iter", "5"),
+        ("figure3", "--tol", "1e-9"),
+        ("figure3", "--seed", "3"),
+        ("figure3", "--max-iter", "5"),
+        ("solve", "--seed", "3"),
+        ("solve", "--format", "json"),
+    ])
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag, value):
+        argv = [command, flag, value, "--out", str(tmp_path / "out")]
+        if command == "solve":
+            argv.insert(1, str(tmp_path / "inst.json"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_rejection_sampling_is_bounded(self, tmp_path, monkeypatch, capsys):
+        # Random N = 3 configs almost never reach normalized coherence 0.9.
+        monkeypatch.setattr(cli, "MAX_REJECTED_DRAWS", 50)
+        assert cli.main(["scan", "--n-paths", "3", "--ensemble", "1",
+                         "--min-coherence", "0.9", "--out", str(tmp_path / "s.json")]) == 2
+        assert "N = 3" in capsys.readouterr().err

@@ -310,3 +310,44 @@ class TestSchurSystem:
         rhs = core.apply_a([sc.w @ a @ sc.w for sc, a in zip(scalings, adj)])
         solved = core.schur_solver(scalings)(rhs)
         assert np.linalg.norm(solved - y) <= 1e-9 * np.linalg.norm(y)
+
+
+class TestStackedBlocks:
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_eigvalsh_calls_per_iteration_do_not_grow_with_n(self, monkeypatch, pe):
+        eigvalsh = np.linalg.eigvalsh
+        ratios = []
+        for n in (3, 12):
+            calls = []
+
+            def counting_eigvalsh(a):
+                calls.append(a)
+                return eigvalsh(a)
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+            solution = sdp.solve(sdp.build_problem(random_config(n, n, 0), pe))
+            assert solution.status == "optimal"
+            ratios.append(len(calls) / solution.iterations)
+        assert ratios[0] == ratios[1]
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("primal", [True, False])
+    def test_max_step_is_the_minimum_over_blocks(self, d, primal):
+        rng = np.random.default_rng(d)
+        k = 5
+
+        def psd_stack(shift):
+            m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+            return m @ sdp._ct(m) + shift * np.eye(d)
+
+        x, z = psd_stack(0.5), psd_stack(0.5)
+        scaling = sdp._NtScaling(x, z)
+        assert sdp._max_step(scaling, psd_stack(0.0), primal) == np.inf
+
+        for limiting in range(k):
+            direction = -psd_stack(0.1)  # every block leaves the cone ...
+            direction[limiting] *= 100.0  # ... and this one first
+            steps = [sdp._max_step(sdp._NtScaling(x[j:j + 1], z[j:j + 1]),
+                                   direction[j:j + 1], primal) for j in range(k)]
+            assert int(np.argmin(steps)) == limiting
+            assert sdp._max_step(scaling, direction, primal) == min(steps)
