@@ -44,28 +44,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_rows(path: str, header: list[str], rows: list[list], fmt: str) -> None:
-    try:
-        if fmt == "csv":
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(
-                    _fmt(v) if isinstance(v, float) else str(v) for v in row))
-            text = "\n".join(lines) + "\n"
-        else:
-            records = [dict(zip(header, row)) for row in rows]
-            text = json.dumps(
-                {"schema_version": SCHEMA_VERSION, "rows": records},
-                indent=2, sort_keys=True) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write output file {path!r}: {exc}") from exc
-    log.info("wrote %d rows to %s", len(rows), path)
-
-
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -76,21 +56,31 @@ def _write_json(path: str | None, payload: dict) -> None:
         raise ValidationError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"{flag} expects comma-separated integers: {text!r}") from exc
-    if not values:
-        raise ValidationError(f"{flag} must not be empty")
-    return values
+def _write_rows(path: str, header: list[str], rows: list[list], fmt: str) -> None:
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(
+                _fmt(v) if isinstance(v, float) else str(v) for v in row))
+        text = "\n".join(lines) + "\n"
+    else:
+        records = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "rows": records},
+            indent=2, sort_keys=True) + "\n"
+    _write_text(path, text)
+    log.info("wrote %d rows to %s", len(rows), path)
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _write_json(path: str | None, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _parse_list(text: str, flag: str, convert, noun: str) -> list:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [convert(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"{flag} expects comma-separated numbers: {text!r}") from exc
+        raise ValidationError(f"{flag} expects comma-separated {noun}: {text!r}") from exc
     if not values:
         raise ValidationError(f"{flag} must not be empty")
     return values
@@ -135,7 +125,7 @@ def _ensemble(n: int, args):
 
 def cmd_figure1(args) -> int:
     """Coherence vs distinguishability curves for the symmetric family."""
-    n_list = _parse_int_list(args.n_paths, "--n-paths")
+    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
     grid = np.linspace(0.0, 1.0, args.grid)
     rows = []
     for n in n_list:
@@ -149,7 +139,7 @@ def cmd_figure1(args) -> int:
 
 def cmd_figure3(args) -> int:
     """Coherence vs distinguishability curves for the asymmetric family."""
-    n_list = _parse_int_list(args.n_paths, "--n-paths")
+    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
     rows = []
     for n in n_list:
         log_n = float(np.log2(n))
@@ -165,8 +155,8 @@ def cmd_figure3(args) -> int:
 
 def cmd_figure2(args) -> int:
     """Random-ensemble coherence against the error-margin bound surface."""
-    n_list = _parse_int_list(args.n_paths, "--n-paths")
-    budgets = _parse_float_list(args.error_budget, "--error-budget")
+    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
+    budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
     options = _solver_options(args)
     header = [
         "kind", "n_paths", "sample", "p_e_budget", "p_e_used", "p_f",
@@ -250,7 +240,7 @@ def cmd_solve(args) -> int:
     """Solve one instance file and emit a full JSON report."""
     cfg, budget = _load_instance(args.instance)
     if args.error_budget is not None:
-        budgets = _parse_float_list(args.error_budget, "--error-budget")
+        budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
         if len(budgets) != 1:
             raise ValidationError(f"solve --error-budget takes one number: {args.error_budget!r}")
         budget = budgets[0]
@@ -295,8 +285,8 @@ def cmd_solve(args) -> int:
 
 def cmd_scan(args) -> int:
     """Random-ensemble sweep of every relation; violations are fatal."""
-    n_list = _parse_int_list(args.n_paths, "--n-paths")
-    budgets = _parse_float_list(args.error_budget, "--error-budget")
+    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
+    budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
     options = _solver_options(args)
     relation_stats: dict[str, dict] = {}
     iteration_counts: list[int] = []

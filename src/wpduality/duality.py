@@ -84,6 +84,11 @@ def error_margin_surface(n_paths: int, p_error: float, p_failure: float) -> floa
     """
     if p_error > 1.0 - p_failure + 1e-12:
         return float("nan")
+    return _normalized_margin_lhs(n_paths, p_error, p_failure)
+
+
+def _normalized_margin_lhs(n_paths: int, p_error: float, p_failure: float) -> float:
+    """(1-P_f)/log2 N * H2(P_e/(1-P_f)) + P_e log2(N-1)/log2 N + P_f."""
     log_n = float(np.log2(n_paths))
     return (
         _conditional_error_entropy(p_error, p_failure) / log_n
@@ -142,14 +147,8 @@ def check_error_margin_duality(
 
     (1-P_f)/log2 N * H2(P_e/(1-P_f)) + P_e log2(N-1)/log2 N + P_f >= C.
     """
-    n = cfg.n_paths
-    log_n = float(np.log2(n))
-    c = _coherence(cfg, coherence_bits) / log_n
-    lhs = (
-        _conditional_error_entropy(outcome.p_error, outcome.p_failure) / log_n
-        + outcome.p_error * float(np.log2(n - 1)) / log_n
-        + outcome.p_failure
-    )
+    c = _coherence(cfg, coherence_bits) / float(np.log2(cfg.n_paths))
+    lhs = _normalized_margin_lhs(cfg.n_paths, outcome.p_error, outcome.p_failure)
     return _report(c, outcome.p_success, lhs, c, lhs - c, RELATION_MARGIN_DUALITY)
 
 

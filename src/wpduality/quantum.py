@@ -171,7 +171,7 @@ def coherence_rel_ent(cfg: InterferometerConfig) -> float:
     the entropy of the state itself; lies in [0, log2 N].
     """
     n = cfg.n_paths
-    s_path = _entropy_bits(np.clip(_clamped_spectrum(path_density_matrix(cfg)), 0.0, None))
+    s_path = _entropy_bits(matlin.eig_hermitian(path_density_matrix(cfg)).eigenvalues)
     value = _entropy_bits(cfg.priors) - s_path
     return min(max(value, 0.0), float(np.log2(n)))
 

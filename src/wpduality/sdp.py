@@ -32,9 +32,9 @@ coordinates, where the congruence Y -> W Y W becomes kron(W, conj(W)).  At
 P_e = 0 it is the slack's Kronecker product plus one rank-one term
 w_j^2 vec(q_j q_j^H) vec(q_j q_j^H)^H per identifiable state.  At P_e > 0 it
 is sum_j kron(W_j, conj(W_j)) bordered by the error row, which is eliminated
-through its scalar pivot before the rest is solved.  Either way a Hermitian
-positive definite system of size rank(G)^2 is factored, tiny for the problem
-sizes targeted here.
+through its scalar pivot before the rest is solved.  Either way each
+right-hand side takes one LU solve of a Hermitian positive definite system of
+size rank(G)^2; no Cholesky factor of it is needed.
 
 Each problem keeps its blocks in two stacks of equal-size blocks, (k, d, d)
 arrays, so each phase of an iteration is one batched numpy call per stack:
@@ -241,17 +241,17 @@ class _MarginCore:
         ws = scalings[0].w  # variable blocks + PSD slack
         flat = ws.reshape(n + 1, r * r)
         t_mat = (flat.T @ flat.conj()).reshape(r, r, r, r).transpose(0, 2, 1, 3)
+        t_mat = t_mat.reshape(r * r, r * r)
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
         kappa = scalings[1].w[0, 0, 0].real ** 2 + np.vdot(self.betas, wbw).real
-        chol = _CholeskySolve(t_mat.reshape(r * r, r * r))
-        t_inv_d = chol.solve(dvec)
+        t_inv_d = np.linalg.solve(t_mat, dvec)
         denom = kappa - np.vdot(dvec, t_inv_d).real
         if not denom > 0.0:  # last pivot of the bordered Schur matrix
             raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
         def solve_fn(rhs):
-            u = chol.solve(rhs[:-1])
+            u = np.linalg.solve(t_mat, rhs[:-1])
             t_step = (rhs[-1].real - np.vdot(dvec, u).real) / denom
             return np.append(_herm((u - t_step * t_inv_d).reshape(r, r)).reshape(-1), t_step)
 
@@ -287,28 +287,12 @@ class _UsdCore:
     def schur_solver(self, scalings):
         r, ws = self.r, scalings[1].w[0]
         w2 = scalings[0].w[:, 0, 0].real ** 2
-        chol = _CholeskySolve(np.kron(ws, ws.conj()) + (self.rank1.T * w2) @ self.rank1.conj())
+        schur = np.kron(ws, ws.conj()) + (self.rank1.T * w2) @ self.rank1.conj()
 
         def solve_fn(rhs):
-            return _herm(chol.solve(rhs).reshape(r, r)).reshape(-1)
+            return _herm(np.linalg.solve(schur, rhs).reshape(r, r)).reshape(-1)
 
         return solve_fn
-
-
-class _CholeskySolve:
-    """One Cholesky factorization of the Schur matrix, reused per iteration."""
-
-    def __init__(self, a: np.ndarray):
-        try:
-            self.chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            # Near-singular late iterates: retry with a tiny diagonal shift.
-            jitter = 1e-14 * max(1.0, float(np.abs(a).max()))
-            self.chol = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        l = self.chol
-        return np.linalg.solve(l.conj().T, np.linalg.solve(l, rhs))
 
 
 def _newton_step(core, scalings, rp, rd, rc, schur_solve):

@@ -1,5 +1,15 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread per test process, set before numpy loads.  The solves here
+# are small, and with OpenBLAS's default of one thread per core a concurrent
+# numpy process oversubscribes the cores: on a 2-core VM the slowest
+# criterion-1 solve then took up to 2.5 s instead of 0.1-0.2 s.  An explicit
+# setting is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -311,6 +311,27 @@ class TestSchurSystem:
         solved = core.schur_solver(scalings)(rhs)
         assert np.linalg.norm(solved - y) <= 1e-9 * np.linalg.norm(y)
 
+    @pytest.mark.parametrize("pe, solves", [(0.0, 2), (0.05, 3)], ids=["0.0", "0.05"])
+    def test_schur_solves_per_iteration(self, monkeypatch, pe, solves):
+        """One LU solve of the Schur matrix per right-hand side, no factorization:
+        the two Newton steps, plus T^-1 d for the error row's border at P_e > 0."""
+        counts = {"solve": 0, "cholesky": 0}
+
+        def counting(name, func):
+            def wrapped(a, *args):
+                counts[name] += np.ndim(a) == 2
+                return func(a, *args)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        for n in (3, 12):
+            counts.update(solve=0, cholesky=0)
+            solution = sdp.solve(sdp.build_problem(random_config(n, n, 0), pe))
+            assert solution.status == "optimal"
+            assert counts["solve"] / solution.iterations == solves
+            assert counts["cholesky"] == 0
+
 
 class TestStackedBlocks:
     @pytest.mark.parametrize("pe", [0.0, 0.05])
