@@ -99,7 +99,10 @@ def _config_seed(master: int, index: int) -> int:
 def _ensemble(n: int, args):
     """Rejection-sampled random configs for ``--ensemble``, ``--seed`` and
     ``--min-coherence``: yields ``(sample, cfg, coherence_bits)``.  Raises
-    ``ValidationError`` after ``MAX_REJECTED_DRAWS`` consecutive rejections."""
+    ``ValidationError`` for ``--ensemble`` below 1, ``--min-coherence`` outside
+    [0, 1), or after ``MAX_REJECTED_DRAWS`` consecutive rejections."""
+    if args.ensemble < 1:
+        raise ValidationError(f"--ensemble must be >= 1, got {args.ensemble!r}")
     if not 0.0 <= args.min_coherence < 1.0:  # at 1 or above sampling would never end
         raise ValidationError(
             f"--min-coherence must lie in [0, 1), got {args.min_coherence!r}")

@@ -31,10 +31,15 @@ row.  The Schur complement A(W A*(y) W) is assembled in matrix-vector
 coordinates, where the congruence Y -> W Y W becomes kron(W, conj(W)).  At
 P_e = 0 it is the slack's Kronecker product plus one rank-one term
 w_j^2 vec(q_j q_j^H) vec(q_j q_j^H)^H per identifiable state.  At P_e > 0 it
-is sum_j kron(W_j, conj(W_j)) bordered by the error row, which is eliminated
-through its scalar pivot before the rest is solved.  Either way each
-right-hand side takes one LU solve of a Hermitian positive definite system of
-size rank(G)^2; no Cholesky factor of it is needed.
+is T = sum_j kron(W_j, conj(W_j)) bordered by the error row d, which is
+eliminated through its scalar pivot kappa - d^H T^-1 d before the rest is
+solved.  Either way each right-hand side takes one LU solve of a Hermitian
+positive definite system of size rank(G)^2, and no Cholesky factor of it is
+needed.  At P_e > 0 the first call also solves for T^-1 d, as a second column
+of the same solve, and later calls reuse it, so an iteration makes two Schur
+solves at either budget.  No other solve or inverse is taken: the NT scaling
+comes from one Cholesky factor per side and one SVD, and the step lengths are
+read in the scaled space, where the current point is diagonal.
 
 Each problem keeps its blocks in two stacks of equal-size blocks, (k, d, d)
 arrays, so each phase of an iteration is one batched numpy call per stack:
@@ -87,6 +92,12 @@ class SolverOptions:
 
     tolerance: float = 1e-7
     max_iterations: int = 200
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        if self.max_iterations < 1:
+            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -158,17 +169,20 @@ class _NtScaling:
 
     Per block, ``rw`` satisfies W = rw rw^H with W Z W = X, and the scaled
     point rw^H Z rw = rw^{-1} X rw^{-H} is the diagonal matrix diag(lam).
+    With Cholesky factors X = lx lx^H, Z = lz lz^H and the SVD
+    lz^H lx = U diag(lam) V^H, rw = lx V diag(lam)^{-1/2} and
+    rw^{-1} = diag(lam)^{-1/2} U^H lz^H, so no factor is inverted.
     """
 
-    __slots__ = ("rw", "rw_inv", "w", "lam", "lx", "lz")
+    __slots__ = ("rw", "rw_inv", "w", "lam")
 
     def __init__(self, x: np.ndarray, z: np.ndarray):
-        self.lx = np.linalg.cholesky(x)
-        self.lz = np.linalg.cholesky(z)
-        _, sig, vh = np.linalg.svd(_ct(self.lz) @ self.lx)
+        lx = np.linalg.cholesky(x)
+        lz = np.linalg.cholesky(z)
+        u, sig, vh = np.linalg.svd(_ct(lz) @ lx)
         inv_root = 1.0 / np.sqrt(sig)
-        self.rw = (self.lx @ _ct(vh)) * inv_root[:, None, :]
-        self.rw_inv = (np.sqrt(sig)[:, :, None] * vh) @ np.linalg.inv(self.lx)
+        self.rw = (lx @ _ct(vh)) * inv_root[:, None, :]
+        self.rw_inv = inv_root[:, :, None] * (_ct(u) @ _ct(lz))
         self.w = self.rw @ _ct(self.rw)
         self.lam = sig
 
@@ -183,10 +197,15 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 
 def _max_step(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> float:
-    """Largest alpha keeping every block of X + alpha D (or Z + alpha D) PSD."""
-    l = scaling.lx if primal else scaling.lz
-    tmp = np.linalg.solve(l, direction)
-    a = np.linalg.solve(l, _ct(tmp))
+    """Largest alpha keeping every block of X + alpha D (or Z + alpha D) PSD.
+
+    The scaling R = rw^{-1} (primal) or rw^H (dual) maps the point to
+    diag(lam), so X + alpha D is PSD exactly when
+    I + alpha lam^{-1/2} (R D R^H) lam^{-1/2} is.
+    """
+    r = scaling.rw_inv if primal else _ct(scaling.rw)
+    inv_root = 1.0 / np.sqrt(scaling.lam)
+    a = (r @ direction @ _ct(r)) * (inv_root[:, :, None] * inv_root[:, None, :])
     lam_min = float(np.linalg.eigvalsh(_herm(a))[:, 0].min())
     if lam_min >= -1e-16:
         return np.inf
@@ -245,13 +264,17 @@ class _MarginCore:
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
         kappa = scalings[1].w[0, 0, 0].real ** 2 + np.vdot(self.betas, wbw).real
-        t_inv_d = np.linalg.solve(t_mat, dvec)
-        denom = kappa - np.vdot(dvec, t_inv_d).real
-        if not denom > 0.0:  # last pivot of the bordered Schur matrix
-            raise np.linalg.LinAlgError("Schur complement is not positive definite")
+        t_inv_d = denom = None  # set by the first call, which solves for T^-1 d too
 
         def solve_fn(rhs):
-            u = np.linalg.solve(t_mat, rhs[:-1])
+            nonlocal t_inv_d, denom
+            if t_inv_d is None:
+                u, t_inv_d = np.linalg.solve(t_mat, np.stack([rhs[:-1], dvec], axis=1)).T
+                denom = kappa - np.vdot(dvec, t_inv_d).real
+                if not denom > 0.0:  # last pivot of the bordered Schur matrix
+                    raise np.linalg.LinAlgError("Schur complement is not positive definite")
+            else:
+                u = np.linalg.solve(t_mat, rhs[:-1])
             t_step = (rhs[-1].real - np.vdot(dvec, u).real) / denom
             return np.append(_herm((u - t_step * t_inv_d).reshape(r, r)).reshape(-1), t_step)
 

@@ -273,6 +273,27 @@ class TestScan:
                          "--out", str(tmp_path / "s.json")]) == 2
 
     @pytest.mark.parametrize("command", ["scan", "figure2"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_empty_ensemble_exit_code(self, tmp_path, command, value):
+        # An empty ensemble checks nothing, so its summary would pass vacuously.
+        assert cli.main([command, "--n-paths", "3", "--ensemble", value,
+                         "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["scan", "figure2", "solve"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--max-iter", "0"),
+    ])
+    def test_bad_solver_option_exit_code(self, tmp_path, command, flag, value):
+        argv = [command, flag, value, "--out", str(tmp_path / "out")]
+        if command == "solve":
+            inst = tmp_path / "inst.json"
+            write_instance(inst, [0.5, 0.5], [[1.0, 0.2], [0.2, 1.0]], budget=0.05)
+            argv.insert(1, str(inst))
+        else:
+            argv += ["--n-paths", "3", "--ensemble", "1"]
+        assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("command", ["scan", "figure2"])
     @pytest.mark.parametrize("value", ["1.0", "-0.1", "nan"])
     def test_min_coherence_out_of_range_exit_code(self, tmp_path, command, value):
         # At 1.0 no config passes the filter, so sampling would never end.

@@ -257,6 +257,14 @@ class TestSolverDiagnostics:
         assert solution.dual_objective <= solution.objective + 1e-6
         assert abs(solution.objective - solution.dual_objective) <= 1e-6
 
+    @pytest.mark.parametrize("field,value", [
+        ("tolerance", 0.0), ("tolerance", -1.0), ("tolerance", float("nan")),
+        ("tolerance", float("inf")), ("max_iterations", 0), ("max_iterations", -3),
+    ])
+    def test_options_rejected(self, field, value):
+        with pytest.raises(matlin.ValidationError):
+            sdp.SolverOptions(**{field: value})
+
     def test_iteration_cap_status(self):
         problem = sdp.build_problem(sym_config(3, 0.5), 0.03)
         solution = sdp.solve(problem, sdp.SolverOptions(max_iterations=2))
@@ -300,36 +308,42 @@ class TestSchurSystem:
         core = sdp._MarginCore(gt, q.conj(), pe) if pe > 0 else sdp._UsdCore(gt, q.conj())
         x, _, z = core.initial_point()
         scalings = [sdp._NtScaling(x_b, z_b) for x_b, z_b in zip(x, z)]
+        schur_solve = core.schur_solver(scalings)
         r = gt.shape[0]
         rng = np.random.default_rng(seed)
-        m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        y = (m + m.conj().T).reshape(-1)
-        if core.b.size > r * r:  # the error row's multiplier is real
-            y = np.append(y, rng.standard_normal())
-        adj = core.apply_a_adjoint(y)
-        rhs = core.apply_a([sc.w @ a @ sc.w for sc, a in zip(scalings, adj)])
-        solved = core.schur_solver(scalings)(rhs)
-        assert np.linalg.norm(solved - y) <= 1e-9 * np.linalg.norm(y)
+        for _ in range(2):  # at P_e > 0 the second call reuses the first call's T^-1 d
+            m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+            y = (m + m.conj().T).reshape(-1)
+            if core.b.size > r * r:  # the error row's multiplier is real
+                y = np.append(y, rng.standard_normal())
+            adj = core.apply_a_adjoint(y)
+            rhs = core.apply_a([sc.w @ a @ sc.w for sc, a in zip(scalings, adj)])
+            solved = schur_solve(rhs)
+            assert np.linalg.norm(solved - y) <= 1e-9 * np.linalg.norm(y)
 
-    @pytest.mark.parametrize("pe, solves", [(0.0, 2), (0.05, 3)], ids=["0.0", "0.05"])
-    def test_schur_solves_per_iteration(self, monkeypatch, pe, solves):
-        """One LU solve of the Schur matrix per right-hand side, no factorization:
-        the two Newton steps, plus T^-1 d for the error row's border at P_e > 0."""
-        counts = {"solve": 0, "cholesky": 0}
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_schur_solves_per_iteration(self, monkeypatch, pe):
+        """Two LU solves per iteration, one per Newton step, and no other solve,
+        inverse or Schur factorization: at P_e > 0, T^-1 d for the error row's
+        border is a second column of the predictor's solve, and neither the NT
+        scaling nor the step lengths solve or invert anything."""
+        counts = {"solve": 0, "inv": 0, "cholesky": 0}
 
         def counting(name, func):
             def wrapped(a, *args):
-                counts[name] += np.ndim(a) == 2
+                # NT scalings factor 3-D stacks; only a 2-D (Schur) Cholesky counts.
+                counts[name] += name != "cholesky" or np.ndim(a) == 2
                 return func(a, *args)
             return wrapped
 
-        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
-        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         for n in (3, 12):
-            counts.update(solve=0, cholesky=0)
+            counts.update(solve=0, inv=0, cholesky=0)
             solution = sdp.solve(sdp.build_problem(random_config(n, n, 0), pe))
             assert solution.status == "optimal"
-            assert counts["solve"] / solution.iterations == solves
+            assert counts["solve"] / solution.iterations == 2
+            assert counts["inv"] == 0
             assert counts["cholesky"] == 0
 
 
@@ -372,3 +386,28 @@ class TestStackedBlocks:
                                    direction[j:j + 1], primal) for j in range(k)]
             assert int(np.argmin(steps)) == limiting
             assert sdp._max_step(scaling, direction, primal) == min(steps)
+
+    @pytest.mark.parametrize("lam_min", [0.3, 1e-9])
+    @pytest.mark.parametrize("primal", [True, False])
+    def test_max_step_reaches_the_cone_boundary(self, lam_min, primal):
+        """Oracle on the point itself: X + 0.999 alpha D stays PSD and
+        X + 1.001 alpha D does not (Z for the dual side)."""
+        rng = np.random.default_rng(11)
+        k, d = 4, 5
+
+        def psd_stack():
+            m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+            q = np.linalg.qr(m)[0]
+            spectrum = np.concatenate([np.full((k, 1), lam_min),
+                                       rng.uniform(0.5, 2.0, (k, d - 1))], axis=1)
+            return sdp._herm((q * spectrum[:, None, :]) @ sdp._ct(q))
+
+        x, z = psd_stack(), psd_stack()
+        point = x if primal else z
+        for _ in range(3):
+            m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+            direction = sdp._herm(m)
+            alpha = sdp._max_step(sdp._NtScaling(x, z), direction, primal)
+            assert 0.0 < alpha < np.inf
+            assert np.linalg.eigvalsh(point + 0.999 * alpha * direction).min() >= 0.0
+            assert np.linalg.eigvalsh(point + 1.001 * alpha * direction).min() < 0.0

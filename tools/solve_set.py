@@ -18,12 +18,12 @@ count, the ``repr`` of the objective, dual objective, gap and error used, and
 the minimum eigenvalue of the slack G - sum z_j.  A solve that raises is
 recorded with status ``"raised <ExceptionName>"``.
 
-Given a baseline file written by the same script, prints the status
-transitions per tolerance and exits 1 if any tolerance-1e-7 solve changes
-status or iteration count, moves a value by more than 1e-9, or ends
-``"optimal"`` with a slack eigenvalue below -1e-7, if the ``"optimal"`` count
-at tolerance 1e-12 or 1e-13 falls more than 20 below the baseline's, or if any
-solve of this run raised.
+Given a baseline file written by the same script, prints per tolerance the
+status transitions and how many solves reproduce the ``repr`` of every value
+exactly.  It exits 1 if any tolerance-1e-7 solve changes status or iteration
+count, moves a value by more than 1e-9, or ends ``"optimal"`` with a slack
+eigenvalue below -1e-7, if the ``"optimal"`` count at tolerance 1e-12 or 1e-13
+falls more than 20 below the baseline's, or if any solve of this run raised.
 """
 
 from __future__ import annotations
@@ -109,11 +109,13 @@ def compare(records: list[dict], baseline: list[dict]) -> list[str]:
         old_optimal = sum(base[_key(r)]["status"] == "optimal" for r in group if _key(r) in base)
         new_optimal = sum(r["status"] == "optimal" for r in group)
         transitions = collections.Counter()
+        identical = 0
         for rec in group:
             old = base.get(_key(rec))
             if old is None:
                 failures.append(f"{_key(rec)}: not in the baseline")
                 continue
+            identical += all(old[k] == rec[k] for k in VALUES)
             if old["status"] != rec["status"]:
                 transitions[(old["status"], rec["status"])] += 1
             if tol != CHECKED_TOL:
@@ -124,7 +126,8 @@ def compare(records: list[dict], baseline: list[dict]) -> list[str]:
             moved = [k for k in VALUES if _moved(old[k], rec[k])]
             if moved:
                 failures.append(f"{_key(rec)}: moved by more than {VALUE_TOL:g}: {moved}")
-        print(f"tol {tol:g}: {len(group)} solves, optimal {old_optimal} -> {new_optimal}")
+        print(f"tol {tol:g}: {len(group)} solves, optimal {old_optimal} -> {new_optimal}, "
+              f"{identical} with every value's repr as in the baseline")
         if tol != CHECKED_TOL and old_optimal - new_optimal > OPTIMAL_DROP_LIMIT:
             failures.append(f"tol {tol:g}: optimal count fell by more than "
                             f"{OPTIMAL_DROP_LIMIT}: {old_optimal} -> {new_optimal}")
