@@ -21,31 +21,39 @@ block structure above:
   and dual starting points are strictly feasible, so only the duality gap has
   to be driven to zero.
 * ``P_e = 0``: positivity forces every off-diagonal diagonal entry of z_j to
-  vanish, so z_j collapses to a single nonnegative weight on |j><j|.  The
-  solver runs on that reduced problem (the plain unambiguous-discrimination
-  SDP), which restores a strict interior.
+  vanish, so z_j collapses to a single nonnegative weight w_j on |j><j|, and
+  only the m identifiable states (e_j in the support of G, with unit rows
+  q_j = Q^H e_j) can carry one.  The solver runs on that reduced problem, the
+  plain unambiguous-discrimination SDP, in its m-constraint form: the primal
+  is min <G, Y> over Y PSD with q_j^H Y q_j - s_j = 1 and surpluses s_j >= 0,
+  and the weights w are its dual vector, with dual slack
+  [G - sum_j w_j q_j q_j^H, w].  Both starting points are strictly feasible.
 
 Both problems are written in the standard form A(X) = b with one dual vector
-y: b is vec(G) on the support of G, followed by P_e when there is an error
-row.  The Schur complement A(W A*(y) W) is assembled in matrix-vector
-coordinates, where the congruence Y -> W Y W becomes kron(W, conj(W)).  At
-P_e = 0 it is the slack's Kronecker product plus one rank-one term
-w_j^2 vec(q_j q_j^H) vec(q_j q_j^H)^H per identifiable state.  At P_e > 0 it
-is T = sum_j kron(W_j, conj(W_j)) bordered by the error row d, which is
+y.  At P_e > 0, b is vec(G) on the support of G followed by P_e, and the
+Schur complement A(W A*(y) W) is assembled in matrix-vector coordinates,
+where the congruence Y -> W Y W becomes kron(W, conj(W)): it is
+T = sum_j kron(W_j, conj(W_j)) bordered by the error row d, which is
 eliminated through its scalar pivot kappa - d^H T^-1 d before the rest is
-solved.  Either way each right-hand side takes one LU solve of a Hermitian
-positive definite system of size rank(G)^2, and no Cholesky factor of it is
-needed.  At P_e > 0 the first call also solves for T^-1 d, as a second column
-of the same solve, and later calls reuse it, so an iteration makes two Schur
-solves at either budget.  No other solve or inverse is taken: the NT scaling
-comes from one Cholesky factor per side and one SVD, and the step lengths are
-read in the scaled space, where the current point is diagonal.
+solved.  Each right-hand side takes one LU solve of a Hermitian positive
+definite system of size rank(G)^2; the first call also solves for T^-1 d, as
+a second column of the same solve, and later calls reuse it.  At P_e = 0, b
+is the m-vector of ones, and since each constraint is rank one the Schur
+matrix is the real m x m matrix |q_i^H W_Y q_j|^2 + diag(w_s^2), with W_Y
+and w_s the scalings of Y and of the surpluses (the rank-one technique of
+DSDP, Benson, Ye & Zhang, SIAM J. Optim. 10, 2000); each right-hand side
+takes one LU solve of it.  Either way an iteration makes two Schur solves and
+no Cholesky factor of the Schur matrix is needed.  No other solve or inverse
+is taken: the NT scaling comes from one Cholesky factor per side and one
+SVD, and the step lengths are read in the scaled space, where the current
+point is diagonal; the predictor's scaled directions are kept for the
+corrector.
 
 Each problem keeps its blocks in two stacks of equal-size blocks, (k, d, d)
 arrays, so each phase of an iteration is one batched numpy call per stack:
 [z_1..z_N then the PSD slack (N+1, r, r), the error row's scalar slack
-(1, 1, 1)] at P_e > 0 and [the N weights (N, 1, 1), the PSD slack (1, r, r)]
-at P_e = 0.
+(1, 1, 1)] at P_e > 0 and [Y (1, r, r), the m surpluses (m, 1, 1)] at
+P_e = 0.
 
 A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 ``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
@@ -196,16 +204,22 @@ def _herm(m: np.ndarray) -> np.ndarray:
     return (m + _ct(m)) / 2.0
 
 
-def _max_step(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> float:
+def _scaled(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> np.ndarray:
+    """R D R^H with R = rw^{-1} (primal) or rw^H (dual), which maps the
+    point X (or Z) to diag(lam)."""
+    r = scaling.rw_inv if primal else _ct(scaling.rw)
+    return r @ direction @ _ct(r)
+
+
+def _max_step(scaling: _NtScaling, scaled: np.ndarray) -> float:
     """Largest alpha keeping every block of X + alpha D (or Z + alpha D) PSD.
 
-    The scaling R = rw^{-1} (primal) or rw^H (dual) maps the point to
-    diag(lam), so X + alpha D is PSD exactly when
+    ``scaled`` is the direction in the scaled space, ``_scaled(scaling, D,
+    primal)``; X + alpha D is PSD exactly when
     I + alpha lam^{-1/2} (R D R^H) lam^{-1/2} is.
     """
-    r = scaling.rw_inv if primal else _ct(scaling.rw)
     inv_root = 1.0 / np.sqrt(scaling.lam)
-    a = (r @ direction @ _ct(r)) * (inv_root[:, :, None] * inv_root[:, None, :])
+    a = scaled * (inv_root[:, :, None] * inv_root[:, None, :])
     lam_min = float(np.linalg.eigvalsh(_herm(a))[:, 0].min())
     if lam_min >= -1e-16:
         return np.inf
@@ -213,12 +227,15 @@ def _max_step(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> float
 
 
 # A problem core holds only what differs between P_e > 0 and P_e = 0, in the
-# standard form A(X) = b with one dual vector y: the right-hand side b
-# (vec(gt), then P_e when there is an error row), the variable-block count
-# n_var, initial_point() -> (x, y, z), apply_a(blocks) -> vector,
-# apply_a_adjoint(y) -> blocks and schur_solver(scalings) -> solve(rhs) -> dy.
-# Blocks (x, z, A*(y), the scalings) are the two stacks of the module docstring;
-# the first starts with the n_var variable blocks.
+# standard form min <C, X> s.t. A(X) = b, X PSD, with one dual vector y and
+# dual slack Z = C - A*(y): the right-hand side b, the cost blocks ``cost`` (C),
+# initial_point() -> (x, y, z), apply_a(blocks) -> vector,
+# apply_a_adjoint(y) -> blocks, schur_solver(scalings) -> solve(rhs) -> dy, and
+# objectives(x, y) -> (pobj, dobj) in P_f units: pobj is the failure
+# probability of the measurement the iterate encodes (from x at P_e > 0, from
+# the weights y at P_e = 0) and dobj the lower bound on it from the other side.
+# Blocks (x, z, C, A*(y), the scalings) are the two stacks of the module
+# docstring.
 
 
 class _MarginCore:
@@ -229,6 +246,10 @@ class _MarginCore:
         self.r = gt.shape[0]
         self.n_var = qs.shape[0]
         self.betas = np.eye(self.r) - qs[:, :, None] * qs.conj()[:, None, :]
+        # Cost -I on the variable blocks and 0 on the slacks.
+        cost = np.zeros((self.n_var + 1, self.r, self.r), dtype=np.complex128)
+        cost[: self.n_var] = -np.eye(self.r)
+        self.cost = [cost, np.zeros((1, 1, 1), dtype=np.complex128)]
 
     def initial_point(self):
         r, n = self.r, self.n_var
@@ -254,6 +275,10 @@ class _MarginCore:
         ym, t = y[:-1].reshape(self.r, self.r), y[-1].real
         return [np.concatenate([ym + t * self.betas, ym[None]]),
                 np.full((1, 1, 1), t, dtype=np.complex128)]
+
+    def objectives(self, x, y):
+        pobj = 1.0 - np.trace(x[0][: self.n_var], axis1=1, axis2=2).real.sum()
+        return pobj, 1.0 + np.vdot(self.b, y).real
 
     def schur_solver(self, scalings):
         r, n = self.r, self.n_var
@@ -282,38 +307,43 @@ class _MarginCore:
 
 
 class _UsdCore:
-    """P_e = 0 problem: scalar weights on identifiable directions + PSD slack."""
+    """P_e = 0 problem in its m-constraint form: Y PSD, q_j^H Y q_j - s_j = 1.
+
+    Its dual vector y is the weight vector w of the identifiable directions,
+    and the dual slack is [G - sum_j w_j q_j q_j^H, w].
+    """
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray):
-        self.b = gt.reshape(-1)
-        self.r = gt.shape[0]
-        self.n_var = qs.shape[0]
-        # Row j is vec(q_j q_j^H) for the unit row q_j of identifiable state j.
-        self.rank1 = (qs[:, :, None] * qs.conj()[:, None, :]).reshape(self.n_var, -1)
+        self.qs = qs  # row j is the unit row q_j of identifiable state j
+        m = qs.shape[0]
+        self.b = np.ones(m)
+        self.cost = [gt[None], np.zeros((m, 1, 1), dtype=np.complex128)]
 
     def initial_point(self):
-        r = self.r
-        eps = float(self.b[:: r + 1].real.min()) / (2.0 * self.n_var)
-        x = [np.full((self.n_var, 1, 1), eps, dtype=np.complex128),
-             (self.b - eps * self.rank1.sum(axis=0)).reshape(1, r, r)]
-        y = -2.0 * np.eye(r, dtype=np.complex128).reshape(-1)
-        weights, slack = self.apply_a_adjoint(y)
-        return x, y, [-1.0 - weights, -slack]  # z = C - A*(y): dual feasible
+        m, r = self.qs.shape
+        eps = float(np.diag(self.cost[0][0]).real.min()) / (2.0 * m)
+        x = [2.0 * np.eye(r, dtype=np.complex128)[None], np.ones((m, 1, 1), dtype=np.complex128)]
+        y = np.full(m, eps)
+        z = [c_b - adj_b for c_b, adj_b in zip(self.cost, self.apply_a_adjoint(y))]
+        return x, y, z
 
     def apply_a(self, blocks):
-        return blocks[1].reshape(-1) + blocks[0][:, 0, 0].real @ self.rank1
+        quad = ((self.qs.conj() @ blocks[0][0]) * self.qs).sum(axis=1).real
+        return quad - blocks[1][:, 0, 0].real
 
     def apply_a_adjoint(self, y):
-        weights = (self.rank1.conj() @ y).real.astype(np.complex128)
-        return [weights.reshape(self.n_var, 1, 1), y.reshape(1, self.r, self.r)]
+        return [((self.qs.T * y) @ self.qs.conj())[None],
+                (-y).astype(np.complex128).reshape(-1, 1, 1)]
+
+    def objectives(self, x, y):
+        return 1.0 - y.sum(), 1.0 - np.vdot(self.cost[0], x[0]).real
 
     def schur_solver(self, scalings):
-        r, ws = self.r, scalings[1].w[0]
-        w2 = scalings[0].w[:, 0, 0].real ** 2
-        schur = np.kron(ws, ws.conj()) + (self.rank1.T * w2) @ self.rank1.conj()
+        v = self.qs.conj() @ scalings[0].w[0] @ self.qs.T  # v_ij = q_i^H W_Y q_j
+        schur = v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w[:, 0, 0].real ** 2)
 
         def solve_fn(rhs):
-            return _herm(np.linalg.solve(schur, rhs).reshape(r, r)).reshape(-1)
+            return np.linalg.solve(schur, rhs)
 
         return solve_fn
 
@@ -329,19 +359,15 @@ def _newton_step(core, scalings, rp, rd, rc, schur_solve):
 
 
 def _objectives_and_gap(core, x, y, z):
-    """Primal 1 - sum_j tr x_j, dual 1 + Re<b, y>, and gap <Z, X>."""
-    pobj = 1.0 - np.trace(x[0][: core.n_var], axis1=1, axis2=2).real.sum()
-    dobj = 1.0 + np.vdot(core.b, y).real
+    """The core's two objectives in P_f units, and the gap <Z, X>."""
+    pobj, dobj = core.objectives(x, y)
     return pobj, dobj, sum(np.vdot(z_b, x_b).real for x_b, z_b in zip(x, z))
 
 
 def _run_ipm(core, options: SolverOptions):
     x, y, z = core.initial_point()
     nu = float(sum(x_b.shape[0] * x_b.shape[1] for x_b in x))
-    # Cost C = -I on the n_var variable blocks and 0 on the slacks.
-    c_blocks = [np.zeros_like(x_b) for x_b in x]
-    c_blocks[0][: core.n_var] = -np.eye(x[0].shape[1])
-    c_scale = 1.0 + np.linalg.norm(c_blocks[0])
+    c_scale = 1.0 + np.sqrt(sum(np.vdot(c_b, c_b).real for c_b in core.cost))
     b_scale = 1.0 + float(np.linalg.norm(core.b))
     tol = options.tolerance
     status = "max-iterations"
@@ -351,7 +377,7 @@ def _run_ipm(core, options: SolverOptions):
         iterations = iteration
         rp = core.b - core.apply_a(x)
         adj = core.apply_a_adjoint(y)
-        rd = [c_b - z_b - adj_b for c_b, z_b, adj_b in zip(c_blocks, z, adj)]
+        rd = [c_b - z_b - adj_b for c_b, z_b, adj_b in zip(core.cost, z, adj)]
 
         pobj, dobj, gap = _objectives_and_gap(core, x, y, z)
         pinf = np.linalg.norm(rp)
@@ -368,7 +394,8 @@ def _run_ipm(core, options: SolverOptions):
 
         # The step stays inline so that its Schur-sized temporaries live into the
         # next iteration: freed at a helper's return, glibc trims and re-faults
-        # them, which made N = 16, P_e = 0 solves about 20% slower.
+        # them, which made N = 16 solves on an r^2 x r^2 Schur matrix about 20%
+        # slower.
         mu = gap / nu
         try:  # an NT scaling, the Schur factorization or a solve can fail
             scalings = [_NtScaling(x_b, z_b) for x_b, z_b in zip(x, z)]
@@ -377,8 +404,10 @@ def _run_ipm(core, options: SolverOptions):
             # Predictor: pure Newton step toward the boundary.
             rc_aff = [-x_b for x_b in x]
             dx_a, _, dz_a = _newton_step(core, scalings, rp, rd, rc_aff, schur_solve)
-            alpha_p = min(1.0, min(_max_step(sc, d, True) for sc, d in zip(scalings, dx_a)))
-            alpha_d = min(1.0, min(_max_step(sc, d, False) for sc, d in zip(scalings, dz_a)))
+            du_a = [_scaled(sc, d, True) for sc, d in zip(scalings, dx_a)]
+            dv_a = [_scaled(sc, d, False) for sc, d in zip(scalings, dz_a)]
+            alpha_p = min(1.0, min(_max_step(sc, d) for sc, d in zip(scalings, du_a)))
+            alpha_d = min(1.0, min(_max_step(sc, d) for sc, d in zip(scalings, dv_a)))
             gap_aff = sum(
                 np.vdot(z_b + alpha_d * dz_b, x_b + alpha_p * dx_b).real
                 for x_b, z_b, dx_b, dz_b in zip(x, z, dx_a, dz_a)
@@ -389,9 +418,7 @@ def _run_ipm(core, options: SolverOptions):
             # scaled point is diagonal and the Lyapunov inverse is entrywise.
             rc = []
             target = 2.0 * sigma * mu
-            for sc, dx_b, dz_b in zip(scalings, dx_a, dz_a):
-                du = sc.rw_inv @ dx_b @ _ct(sc.rw_inv)
-                dv = _ct(sc.rw) @ dz_b @ sc.rw
+            for sc, du, dv in zip(scalings, du_a, dv_a):
                 h2 = du @ dv
                 num = -(h2 + _ct(h2))
                 idx = np.arange(num.shape[1])
@@ -401,9 +428,9 @@ def _run_ipm(core, options: SolverOptions):
 
             dx, dy, dz = _newton_step(core, scalings, rp, rd, rc, schur_solve)
             alpha_p = min(1.0, STEP_FRACTION * min(
-                _max_step(sc, d, True) for sc, d in zip(scalings, dx)))
+                _max_step(sc, _scaled(sc, d, True)) for sc, d in zip(scalings, dx)))
             alpha_d = min(1.0, STEP_FRACTION * min(
-                _max_step(sc, d, False) for sc, d in zip(scalings, dz)))
+                _max_step(sc, _scaled(sc, d, False)) for sc, d in zip(scalings, dz)))
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
@@ -413,10 +440,10 @@ def _run_ipm(core, options: SolverOptions):
 
         x = [_herm(x_b + alpha_p * dx_b) for x_b, dx_b in zip(x, dx)]
         z = [_herm(z_b + alpha_d * dz_b) for z_b, dz_b in zip(z, dz)]
-        y = y + alpha_d * dy  # dy's matrix part is Hermitian, so y stays so
+        y = y + alpha_d * dy  # at P_e > 0 dy's matrix part is Hermitian, so y stays so
 
     pobj, dobj, gap = _objectives_and_gap(core, x, y, z)
-    return x, status, iterations, pobj, dobj, gap
+    return x, y, status, iterations, pobj, dobj, gap
 
 
 def _support(dec: matlin.EigenDecomposition):
@@ -425,6 +452,15 @@ def _support(dec: matlin.EigenDecomposition):
     keep = w > max(SUPPORT_RTOL * max(scale, 1e-300), 0.0)
     q = dec.eigenvectors[:, keep]
     return np.diag(w[keep]).astype(np.complex128), q
+
+
+def _identifiable(q: np.ndarray):
+    """Indices of the states whose basis vector lies in range(G), and their
+    unit rows q_j = Q^H e_j / |Q^H e_j|."""
+    qs_all = q.conj()  # row j is Q^H e_j
+    norms = np.linalg.norm(qs_all, axis=1)
+    members = np.where(1.0 - norms ** 2 <= RANGE_TOL ** 2 + 1e-12)[0]
+    return members, qs_all[members] / norms[members, None]
 
 
 def _trivial_solution(problem: BlockSdpProblem) -> BlockSdpSolution:
@@ -459,23 +495,19 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
         return _trivial_solution(problem)
 
     if problem.error_budget <= 0.0:
-        # Identifiable states are those whose basis vector lies in range(G).
-        qs_all = q.conj()  # row j is Q^H e_j
-        norms = np.linalg.norm(qs_all, axis=1)
-        members = np.where(1.0 - norms ** 2 <= RANGE_TOL ** 2 + 1e-12)[0]
+        members, qs = _identifiable(q)
         if members.size == 0:
             return _trivial_solution(problem)
-        qs = qs_all[members] / norms[members, None]
         core = _UsdCore(gt, qs)
-        x, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
+        _, y, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
         stack = np.zeros((n, n, n), dtype=np.complex128)  # block j is w_j |j><j|
-        stack[members, members, members] = np.maximum(x[0][:, 0, 0].real, 0.0)
+        stack[members, members, members] = np.maximum(y, 0.0)
         blocks = list(stack)
         error_used = 0.0
     else:
         qs = q.conj()
         core = _MarginCore(gt, qs, problem.error_budget)
-        x, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
+        x, _, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
         blocks = [_herm(q @ x_j @ q.conj().T) for x_j in x[0][:n]]
         error_used = float(np.vdot(core.betas, x[0][:n]).real)
 

@@ -127,6 +127,12 @@ class TestSolveUnambiguous:
             two_state_usd_oracle(p1, 1 - p1, c), abs=1e-6
         )
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_symmetric_failure_is_overlap_at_large_n(self, n):
+        solution = sdp.solve(sdp.build_problem(sym_config(n, 0.5), 0.0))
+        assert solution.status == "optimal"
+        assert abs(solution.objective - 0.5) <= 1e-5
+
     def test_identical_states_unidentifiable(self):
         cfg = quantum.InterferometerConfig([0.5, 0.5], np.ones((2, 2)))
         solution = sdp.solve(sdp.build_problem(cfg, 0.0))
@@ -278,7 +284,7 @@ class TestSolverDiagnostics:
         assert solution.iterations == 1
 
     @pytest.mark.parametrize("n,seed,pe,tol", [
-        (3, 0, 0.0, 1e-13),
+        (3, 0, 0.0, 1e-14),
         (3, 0, 0.05, 1e-13),
         (2, 5, 0.05, 1e-12),  # the bordered Schur pivot cancels to zero
     ])
@@ -312,10 +318,11 @@ class TestSchurSystem:
         r = gt.shape[0]
         rng = np.random.default_rng(seed)
         for _ in range(2):  # at P_e > 0 the second call reuses the first call's T^-1 d
-            m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            y = (m + m.conj().T).reshape(-1)
-            if core.b.size > r * r:  # the error row's multiplier is real
-                y = np.append(y, rng.standard_normal())
+            if pe > 0:  # a Hermitian r x r multiplier, then the error row's real one
+                m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+                y = np.append((m + m.conj().T).reshape(-1), rng.standard_normal())
+            else:  # one real multiplier per identifiable state
+                y = rng.standard_normal(core.b.size)
             adj = core.apply_a_adjoint(y)
             rhs = core.apply_a([sc.w @ a @ sc.w for sc, a in zip(scalings, adj)])
             solved = schur_solve(rhs)
@@ -345,6 +352,44 @@ class TestSchurSystem:
             assert counts["solve"] / solution.iterations == 2
             assert counts["inv"] == 0
             assert counts["cholesky"] == 0
+
+    def test_usd_schur_matrix_is_m_by_m(self, monkeypatch):
+        """At P_e = 0 each Schur solve is on the m x m matrix of the m
+        identifiable states, not on an r^2 x r^2 one."""
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            if np.ndim(a) == 2:
+                shapes.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        solution = sdp.solve(sdp.build_problem(random_config(12, 12, 0), 0.0))
+        assert solution.status == "optimal"
+        assert len(shapes) == 2 * solution.iterations
+        assert set(shapes) == {(12, 12)}
+
+    @pytest.mark.parametrize("cfg,m", [
+        (random_config(4, 4, 0), 4),
+        (random_config(12, 12, 1), 12),
+        # two identical states, then three identifiable ones: m = 3 < r = 4
+        (quantum.InterferometerConfig(np.full(5, 0.2), np.block([
+            [np.ones((2, 2)), np.zeros((2, 3))],
+            [np.zeros((3, 2)), random_config(3, 3, 2).gram]])), 3),
+    ], ids=["n4", "n12", "m3-r4"])
+    def test_usd_initial_point_is_strictly_feasible(self, cfg, m):
+        problem = sdp.build_problem(cfg, 0.0)
+        gt, q = sdp._support(problem.spectrum)
+        core = sdp._UsdCore(gt, sdp._identifiable(q)[1])
+        assert core.b.size == m
+        x, y, z = core.initial_point()
+        assert np.allclose(core.apply_a(x), core.b, rtol=0.0, atol=1e-15)
+        adj = core.apply_a_adjoint(y)
+        for c_b, z_b, adj_b in zip(core.cost, z, adj):
+            assert np.array_equal(z_b, c_b - adj_b)
+        for block in x + z:
+            assert np.linalg.eigvalsh(block).min() > 0.0
 
 
 class TestStackedBlocks:
@@ -377,15 +422,19 @@ class TestStackedBlocks:
 
         x, z = psd_stack(0.5), psd_stack(0.5)
         scaling = sdp._NtScaling(x, z)
-        assert sdp._max_step(scaling, psd_stack(0.0), primal) == np.inf
+
+        def max_step(sc, d):
+            return sdp._max_step(sc, sdp._scaled(sc, d, primal))
+
+        assert max_step(scaling, psd_stack(0.0)) == np.inf
 
         for limiting in range(k):
             direction = -psd_stack(0.1)  # every block leaves the cone ...
             direction[limiting] *= 100.0  # ... and this one first
-            steps = [sdp._max_step(sdp._NtScaling(x[j:j + 1], z[j:j + 1]),
-                                   direction[j:j + 1], primal) for j in range(k)]
+            steps = [max_step(sdp._NtScaling(x[j:j + 1], z[j:j + 1]), direction[j:j + 1])
+                     for j in range(k)]
             assert int(np.argmin(steps)) == limiting
-            assert sdp._max_step(scaling, direction, primal) == min(steps)
+            assert max_step(scaling, direction) == min(steps)
 
     @pytest.mark.parametrize("lam_min", [0.3, 1e-9])
     @pytest.mark.parametrize("primal", [True, False])
@@ -407,7 +456,8 @@ class TestStackedBlocks:
         for _ in range(3):
             m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
             direction = sdp._herm(m)
-            alpha = sdp._max_step(sdp._NtScaling(x, z), direction, primal)
+            scaling = sdp._NtScaling(x, z)
+            alpha = sdp._max_step(scaling, sdp._scaled(scaling, direction, primal))
             assert 0.0 < alpha < np.inf
             assert np.linalg.eigvalsh(point + 0.999 * alpha * direction).min() >= 0.0
             assert np.linalg.eigvalsh(point + 1.001 * alpha * direction).min() < 0.0
