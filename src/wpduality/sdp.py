@@ -44,16 +44,21 @@ and w_s the scalings of Y and of the surpluses (the rank-one technique of
 DSDP, Benson, Ye & Zhang, SIAM J. Optim. 10, 2000); each right-hand side
 takes one LU solve of it.  Either way an iteration makes two Schur solves and
 no Cholesky factor of the Schur matrix is needed.  No other solve or inverse
-is taken: the NT scaling comes from one Cholesky factor per side and one
-SVD, and the step lengths are read in the scaled space, where the current
-point is diagonal; the predictor's scaled directions are kept for the
-corrector.
+is taken: the PSD stack's NT scaling comes from one Cholesky factor per side
+and one SVD, and the step lengths are read in the scaled space, where the
+current point is diagonal; the predictor's scaled directions are kept for
+the corrector.
 
-Each problem keeps its blocks in two stacks of equal-size blocks, (k, d, d)
-arrays, so each phase of an iteration is one batched numpy call per stack:
-[z_1..z_N then the PSD slack (N+1, r, r), the error row's scalar slack
-(1, 1, 1)] at P_e > 0 and [Y (1, r, r), the m surpluses (m, 1, 1)] at
-P_e = 0.
+Each problem keeps its variables in two parts, so each phase of an iteration
+is one batched numpy call per part: a stack of equal-size PSD blocks, a
+(k, d, d) array, and a nonnegative orthant held as a real vector.  At
+P_e > 0 they are z_1..z_N then the PSD slack (N+1, r, r), and the error
+row's slack (1,); at P_e = 0, Y (1, r, r) and the m surpluses (m,).  The
+orthant's NT scaling and step lengths have closed forms (the "linear blocks"
+of SDPT3, Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999), so an
+iteration factors only the PSD stack: two Cholesky factors, one SVD, and one
+``eigvalsh`` per Newton step on the primal and dual scaled directions
+together.
 
 A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 ``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
@@ -173,7 +178,7 @@ def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpPro
 
 
 class _NtScaling:
-    """Nesterov-Todd scaling data for one stack of PSD blocks, shape (k, d, d).
+    """Nesterov-Todd scaling data for the PSD stack, shape (k, d, d).
 
     Per block, ``rw`` satisfies W = rw rw^H with W Z W = X, and the scaled
     point rw^H Z rw = rw^{-1} X rw^{-H} is the diagonal matrix diag(lam).
@@ -194,36 +199,93 @@ class _NtScaling:
         self.w = self.rw @ _ct(self.rw)
         self.lam = sig
 
+    def wdw(self, d: np.ndarray) -> np.ndarray:
+        return self.w @ d @ self.w
+
+    def scaled(self, d: np.ndarray, primal: bool) -> np.ndarray:
+        """R D R^H with R = rw^{-1} (primal) or rw^H (dual), which maps the
+        point X (or Z) to diag(lam)."""
+        r = self.rw_inv if primal else _ct(self.rw)
+        return r @ d @ _ct(r)
+
+    def max_steps(self, du: np.ndarray, dv: np.ndarray) -> tuple[float, float]:
+        """Largest alpha_p and alpha_d keeping every block of X + alpha_p D_x
+        and Z + alpha_d D_z PSD, from the scaled directions du and dv.
+
+        X + alpha D is PSD exactly when I + alpha lam^{-1/2} du lam^{-1/2}
+        is; both sides' blocks go through one ``eigvalsh`` call.
+        """
+        inv_root = 1.0 / np.sqrt(self.lam)
+        a = np.stack([du, dv]) * (inv_root[:, :, None] * inv_root[:, None, :])
+        lowest = np.linalg.eigvalsh(_herm(a))[..., 0].min(axis=1)
+        return _step_to_boundary(lowest[0]), _step_to_boundary(lowest[1])
+
+    def corrector(self, du: np.ndarray, dv: np.ndarray, sigma_mu: float) -> np.ndarray:
+        """Complementarity term of the corrector: sigma mu I - lam^2 - du dv
+        symmetrized in the scaled space, where the point is diag(lam) and the
+        Lyapunov inverse is entrywise, mapped back by rw . rw^H."""
+        h2 = du @ dv
+        num = -(h2 + _ct(h2))
+        idx = np.arange(num.shape[1])
+        num[:, idx, idx] += 2.0 * sigma_mu - 2.0 * self.lam ** 2
+        num /= self.lam[:, :, None] + self.lam[:, None, :]
+        return self.rw @ num @ _ct(self.rw)
+
+
+class _OrthantScaling:
+    """Nesterov-Todd scaling of the orthant part, a real vector x > 0 with
+    dual z > 0, in closed form: w = sqrt(x / z), and the scaled point is
+    x / w = w z = lam = sqrt(x z).  The same interface as ``_NtScaling``,
+    elementwise."""
+
+    __slots__ = ("w", "lam")
+
+    def __init__(self, x: np.ndarray, z: np.ndarray):
+        if not (x.min() > 0.0 and z.min() > 0.0):
+            raise np.linalg.LinAlgError("orthant point is not interior")
+        self.w = np.sqrt(x / z)
+        self.lam = np.sqrt(x * z)
+
+    def wdw(self, d: np.ndarray) -> np.ndarray:
+        return self.w ** 2 * d
+
+    def scaled(self, d: np.ndarray, primal: bool) -> np.ndarray:
+        return d / self.w if primal else self.w * d
+
+    def max_steps(self, du: np.ndarray, dv: np.ndarray) -> tuple[float, float]:
+        return _step_to_boundary((du / self.lam).min()), _step_to_boundary((dv / self.lam).min())
+
+    def corrector(self, du: np.ndarray, dv: np.ndarray, sigma_mu: float) -> np.ndarray:
+        return self.w * ((sigma_mu - self.lam ** 2 - du * dv) / self.lam)
+
+
+def _scalings(x, z):
+    """The scalings of the PSD stack and of the orthant part."""
+    return [_NtScaling(x[0], z[0]), _OrthantScaling(x[1], z[1])]
+
+
+def _step_to_boundary(lowest: float) -> float:
+    """Step to the cone boundary along a scaled direction whose smallest
+    eigenvalue relative to the point is ``lowest``."""
+    if lowest >= -1e-16:
+        return np.inf
+    return -1.0 / float(lowest)
+
+
+def _step_lengths(scalings, du, dv, fraction: float = 1.0) -> tuple[float, float]:
+    """(alpha_p, alpha_d): ``fraction`` of the way to the boundary on each
+    side, at most 1, from the scaled directions of both parts."""
+    steps = [sc.max_steps(du_b, dv_b) for sc, du_b, dv_b in zip(scalings, du, dv)]
+    return tuple(min(1.0, fraction * min(side)) for side in zip(*steps))
+
 
 def _ct(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
-    return np.swapaxes(m, -1, -2).conj()
+    return m.swapaxes(-1, -2).conj()
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
     return (m + _ct(m)) / 2.0
-
-
-def _scaled(scaling: _NtScaling, direction: np.ndarray, primal: bool) -> np.ndarray:
-    """R D R^H with R = rw^{-1} (primal) or rw^H (dual), which maps the
-    point X (or Z) to diag(lam)."""
-    r = scaling.rw_inv if primal else _ct(scaling.rw)
-    return r @ direction @ _ct(r)
-
-
-def _max_step(scaling: _NtScaling, scaled: np.ndarray) -> float:
-    """Largest alpha keeping every block of X + alpha D (or Z + alpha D) PSD.
-
-    ``scaled`` is the direction in the scaled space, ``_scaled(scaling, D,
-    primal)``; X + alpha D is PSD exactly when
-    I + alpha lam^{-1/2} (R D R^H) lam^{-1/2} is.
-    """
-    inv_root = 1.0 / np.sqrt(scaling.lam)
-    a = scaled * (inv_root[:, :, None] * inv_root[:, None, :])
-    lam_min = float(np.linalg.eigvalsh(_herm(a))[:, 0].min())
-    if lam_min >= -1e-16:
-        return np.inf
-    return -1.0 / lam_min
 
 
 # A problem core holds only what differs between P_e > 0 and P_e = 0, in the
@@ -234,8 +296,10 @@ def _max_step(scaling: _NtScaling, scaled: np.ndarray) -> float:
 # objectives(x, y) -> (pobj, dobj) in P_f units: pobj is the failure
 # probability of the measurement the iterate encodes (from x at P_e > 0, from
 # the weights y at P_e = 0) and dobj the lower bound on it from the other side.
-# Blocks (x, z, C, A*(y), the scalings) are the two stacks of the module
-# docstring.
+# Each of x, z, C and A*(y) is a pair [PSD stack (k, d, d), orthant part (m,)]
+# as in the module docstring, with the scalings ``_scalings(x, z)``, one per
+# part: W D W, the scaled direction, the step lengths to the boundary on both
+# sides, and the corrector term.
 
 
 class _MarginCore:
@@ -249,7 +313,7 @@ class _MarginCore:
         # Cost -I on the variable blocks and 0 on the slacks.
         cost = np.zeros((self.n_var + 1, self.r, self.r), dtype=np.complex128)
         cost[: self.n_var] = -np.eye(self.r)
-        self.cost = [cost, np.zeros((1, 1, 1), dtype=np.complex128)]
+        self.cost = [cost, np.zeros(1)]
 
     def initial_point(self):
         r, n = self.r, self.n_var
@@ -260,21 +324,19 @@ class _MarginCore:
             eps = min(eps, pe / (2.0 * total_beta))
         eye = np.eye(r, dtype=np.complex128)
         x = [np.concatenate([np.broadcast_to(eps * eye, (n, r, r)), (gt - n * eps * eye)[None]]),
-             np.full((1, 1, 1), pe - eps * total_beta, dtype=np.complex128)]
+             np.array([pe - eps * total_beta])]
         y = np.append(-2.0 * eye.reshape(-1), -1.0)
-        z = [np.concatenate([eye + self.betas, 2.0 * eye[None]]),
-             np.ones((1, 1, 1), dtype=np.complex128)]
+        z = [np.concatenate([eye + self.betas, 2.0 * eye[None]]), np.ones(1)]
         return x, y, z
 
     def apply_a(self, blocks):
         h = blocks[0].sum(axis=0)
-        s = blocks[1][0, 0, 0].real + np.vdot(self.betas, blocks[0][: self.n_var]).real
+        s = blocks[1][0] + np.vdot(self.betas, blocks[0][: self.n_var]).real
         return np.append(h.reshape(-1), s)
 
     def apply_a_adjoint(self, y):
         ym, t = y[:-1].reshape(self.r, self.r), y[-1].real
-        return [np.concatenate([ym + t * self.betas, ym[None]]),
-                np.full((1, 1, 1), t, dtype=np.complex128)]
+        return [np.concatenate([ym + t * self.betas, ym[None]]), np.array([t])]
 
     def objectives(self, x, y):
         pobj = 1.0 - np.trace(x[0][: self.n_var], axis1=1, axis2=2).real.sum()
@@ -288,7 +350,7 @@ class _MarginCore:
         t_mat = t_mat.reshape(r * r, r * r)
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
-        kappa = scalings[1].w[0, 0, 0].real ** 2 + np.vdot(self.betas, wbw).real
+        kappa = scalings[1].w[0] ** 2 + np.vdot(self.betas, wbw).real
         t_inv_d = denom = None  # set by the first call, which solves for T^-1 d too
 
         def solve_fn(rhs):
@@ -317,30 +379,29 @@ class _UsdCore:
         self.qs = qs  # row j is the unit row q_j of identifiable state j
         m = qs.shape[0]
         self.b = np.ones(m)
-        self.cost = [gt[None], np.zeros((m, 1, 1), dtype=np.complex128)]
+        self.cost = [gt[None], np.zeros(m)]
 
     def initial_point(self):
         m, r = self.qs.shape
         eps = float(np.diag(self.cost[0][0]).real.min()) / (2.0 * m)
-        x = [2.0 * np.eye(r, dtype=np.complex128)[None], np.ones((m, 1, 1), dtype=np.complex128)]
+        x = [2.0 * np.eye(r, dtype=np.complex128)[None], np.ones(m)]
         y = np.full(m, eps)
         z = [c_b - adj_b for c_b, adj_b in zip(self.cost, self.apply_a_adjoint(y))]
         return x, y, z
 
     def apply_a(self, blocks):
         quad = ((self.qs.conj() @ blocks[0][0]) * self.qs).sum(axis=1).real
-        return quad - blocks[1][:, 0, 0].real
+        return quad - blocks[1]
 
     def apply_a_adjoint(self, y):
-        return [((self.qs.T * y) @ self.qs.conj())[None],
-                (-y).astype(np.complex128).reshape(-1, 1, 1)]
+        return [((self.qs.T * y) @ self.qs.conj())[None], -y]
 
     def objectives(self, x, y):
         return 1.0 - y.sum(), 1.0 - np.vdot(self.cost[0], x[0]).real
 
     def schur_solver(self, scalings):
         v = self.qs.conj() @ scalings[0].w[0] @ self.qs.T  # v_ij = q_i^H W_Y q_j
-        schur = v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w[:, 0, 0].real ** 2)
+        schur = v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w ** 2)
 
         def solve_fn(rhs):
             return np.linalg.solve(schur, rhs)
@@ -349,12 +410,11 @@ class _UsdCore:
 
 
 def _newton_step(core, scalings, rp, rd, rc, schur_solve):
-    filt = [rc_b - sc.w @ rd_b @ sc.w for sc, rd_b, rc_b in zip(scalings, rd, rc)]
+    filt = [rc_b - sc.wdw(rd_b) for sc, rd_b, rc_b in zip(scalings, rd, rc)]
     dy = schur_solve(rp - core.apply_a(filt))
     adj = core.apply_a_adjoint(dy)
     dz = [rd_b - adj_b for rd_b, adj_b in zip(rd, adj)]
-    dx = [e_b + sc.w @ adj_b @ sc.w
-          for e_b, sc, adj_b in zip(filt, scalings, adj)]
+    dx = [e_b + sc.wdw(adj_b) for e_b, sc, adj_b in zip(filt, scalings, adj)]
     return dx, dy, dz
 
 
@@ -366,7 +426,7 @@ def _objectives_and_gap(core, x, y, z):
 
 def _run_ipm(core, options: SolverOptions):
     x, y, z = core.initial_point()
-    nu = float(sum(x_b.shape[0] * x_b.shape[1] for x_b in x))
+    nu = float(x[0].shape[0] * x[0].shape[1] + x[1].size)
     c_scale = 1.0 + np.sqrt(sum(np.vdot(c_b, c_b).real for c_b in core.cost))
     b_scale = 1.0 + float(np.linalg.norm(core.b))
     tol = options.tolerance
@@ -398,39 +458,27 @@ def _run_ipm(core, options: SolverOptions):
         # slower.
         mu = gap / nu
         try:  # an NT scaling, the Schur factorization or a solve can fail
-            scalings = [_NtScaling(x_b, z_b) for x_b, z_b in zip(x, z)]
+            scalings = _scalings(x, z)
             schur_solve = core.schur_solver(scalings)
 
             # Predictor: pure Newton step toward the boundary.
             rc_aff = [-x_b for x_b in x]
             dx_a, _, dz_a = _newton_step(core, scalings, rp, rd, rc_aff, schur_solve)
-            du_a = [_scaled(sc, d, True) for sc, d in zip(scalings, dx_a)]
-            dv_a = [_scaled(sc, d, False) for sc, d in zip(scalings, dz_a)]
-            alpha_p = min(1.0, min(_max_step(sc, d) for sc, d in zip(scalings, du_a)))
-            alpha_d = min(1.0, min(_max_step(sc, d) for sc, d in zip(scalings, dv_a)))
+            du_a = [sc.scaled(d, True) for sc, d in zip(scalings, dx_a)]
+            dv_a = [sc.scaled(d, False) for sc, d in zip(scalings, dz_a)]
+            alpha_p, alpha_d = _step_lengths(scalings, du_a, dv_a)
             gap_aff = sum(
                 np.vdot(z_b + alpha_d * dz_b, x_b + alpha_p * dx_b).real
                 for x_b, z_b, dx_b, dz_b in zip(x, z, dx_a, dz_a)
             )
             sigma = min(1.0, max(1e-10, gap_aff / gap) ** 3)
 
-            # Corrector with the second-order term in the scaled space, where the
-            # scaled point is diagonal and the Lyapunov inverse is entrywise.
-            rc = []
-            target = 2.0 * sigma * mu
-            for sc, du, dv in zip(scalings, du_a, dv_a):
-                h2 = du @ dv
-                num = -(h2 + _ct(h2))
-                idx = np.arange(num.shape[1])
-                num[:, idx, idx] += target - 2.0 * sc.lam ** 2
-                num /= sc.lam[:, :, None] + sc.lam[:, None, :]
-                rc.append(sc.rw @ num @ _ct(sc.rw))
-
+            # Corrector with the predictor's second-order term.
+            rc = [sc.corrector(du, dv, sigma * mu) for sc, du, dv in zip(scalings, du_a, dv_a)]
             dx, dy, dz = _newton_step(core, scalings, rp, rd, rc, schur_solve)
-            alpha_p = min(1.0, STEP_FRACTION * min(
-                _max_step(sc, _scaled(sc, d, True)) for sc, d in zip(scalings, dx)))
-            alpha_d = min(1.0, STEP_FRACTION * min(
-                _max_step(sc, _scaled(sc, d, False)) for sc, d in zip(scalings, dz)))
+            alpha_p, alpha_d = _step_lengths(
+                scalings, [sc.scaled(d, True) for sc, d in zip(scalings, dx)],
+                [sc.scaled(d, False) for sc, d in zip(scalings, dz)], STEP_FRACTION)
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
@@ -438,8 +486,8 @@ def _run_ipm(core, options: SolverOptions):
             status = "stalled"
             break
 
-        x = [_herm(x_b + alpha_p * dx_b) for x_b, dx_b in zip(x, dx)]
-        z = [_herm(z_b + alpha_d * dz_b) for z_b, dz_b in zip(z, dz)]
+        x = [_herm(x[0] + alpha_p * dx[0]), x[1] + alpha_p * dx[1]]
+        z = [_herm(z[0] + alpha_d * dz[0]), z[1] + alpha_d * dz[1]]
         y = y + alpha_d * dy  # at P_e > 0 dy's matrix part is Hermitian, so y stays so
 
     pobj, dobj, gap = _objectives_and_gap(core, x, y, z)
@@ -500,9 +548,14 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
             return _trivial_solution(problem)
         core = _UsdCore(gt, qs)
         _, y, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
-        stack = np.zeros((n, n, n), dtype=np.complex128)  # block j is w_j |j><j|
-        stack[members, members, members] = np.maximum(y, 0.0)
-        blocks = list(stack)
+        weights = np.maximum(y, 0.0)
+        # One array per block: writing the N nonzero entries of one (N, N, N)
+        # stack faulted in most of its 268 MB at N = 256.
+        blocks = [np.zeros((n, n), dtype=np.complex128) for _ in range(n)]
+        for j, w_j in zip(members, weights):  # block j is w_j |j><j|
+            blocks[j][j, j] = w_j
+        slack = problem.gram.copy()  # G - sum_j w_j |j><j|, without summing the blocks
+        slack[members, members] -= weights
         error_used = 0.0
     else:
         qs = q.conj()
@@ -510,8 +563,7 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
         x, _, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
         blocks = [_herm(q @ x_j @ q.conj().T) for x_j in x[0][:n]]
         error_used = float(np.vdot(core.betas, x[0][:n]).real)
-
-    slack = problem.gram - sum(blocks)
+        slack = problem.gram - sum(blocks)
     objective = min(max(pobj, 0.0), 1.0)
     log.info(
         "solve: n=%d r=%d budget=%.3g status=%s iters=%d objective=%.9f gap=%.2e",

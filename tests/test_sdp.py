@@ -133,6 +133,21 @@ class TestSolveUnambiguous:
         assert solution.status == "optimal"
         assert abs(solution.objective - 0.5) <= 1e-5
 
+    @pytest.mark.parametrize("cfg", [
+        random_config(5, 5, 3),
+        # two identical states, then three identifiable ones: m = 3 < r = 4
+        quantum.InterferometerConfig(np.full(5, 0.2), np.block([
+            [np.ones((2, 2)), np.zeros((2, 3))],
+            [np.zeros((3, 2)), random_config(3, 3, 2).gram]])),
+    ], ids=["full-rank", "m3-r4"])
+    def test_slack_is_gram_minus_the_blocks(self, cfg):
+        """The slack formed from the weights, G - diag(w), is bit for bit
+        G minus the sum of the returned blocks."""
+        problem = sdp.build_problem(cfg, 0.0)
+        solution = sdp.solve(problem)
+        assert solution.status == "optimal"
+        assert np.array_equal(solution.slack_psd, sdp._herm(problem.gram - sum(solution.blocks)))
+
     def test_identical_states_unidentifiable(self):
         cfg = quantum.InterferometerConfig([0.5, 0.5], np.ones((2, 2)))
         solution = sdp.solve(sdp.build_problem(cfg, 0.0))
@@ -313,8 +328,9 @@ class TestSchurSystem:
         gt, q = sdp._support(problem.spectrum)
         core = sdp._MarginCore(gt, q.conj(), pe) if pe > 0 else sdp._UsdCore(gt, q.conj())
         x, _, z = core.initial_point()
-        scalings = [sdp._NtScaling(x_b, z_b) for x_b, z_b in zip(x, z)]
+        scalings = sdp._scalings(x, z)
         schur_solve = core.schur_solver(scalings)
+        psd, orthant = scalings
         r = gt.shape[0]
         rng = np.random.default_rng(seed)
         for _ in range(2):  # at P_e > 0 the second call reuses the first call's T^-1 d
@@ -324,7 +340,8 @@ class TestSchurSystem:
             else:  # one real multiplier per identifiable state
                 y = rng.standard_normal(core.b.size)
             adj = core.apply_a_adjoint(y)
-            rhs = core.apply_a([sc.w @ a @ sc.w for sc, a in zip(scalings, adj)])
+            # W Y W blockwise on the PSD stack, elementwise on the orthant part
+            rhs = core.apply_a([psd.w @ adj[0] @ psd.w, orthant.w * adj[1] * orthant.w])
             solved = schur_solve(rhs)
             assert np.linalg.norm(solved - y) <= 1e-9 * np.linalg.norm(y)
 
@@ -388,15 +405,19 @@ class TestSchurSystem:
         adj = core.apply_a_adjoint(y)
         for c_b, z_b, adj_b in zip(core.cost, z, adj):
             assert np.array_equal(z_b, c_b - adj_b)
-        for block in x + z:
-            assert np.linalg.eigvalsh(block).min() > 0.0
+        for stack in (x[0], z[0]):  # Y and G - sum_j w_j q_j q_j^H
+            assert np.linalg.eigvalsh(stack).min() > 0.0
+        for surplus in (x[1], z[1]):  # the surpluses s and the weights w
+            assert surplus.shape == (m,) and np.isrealobj(surplus)
+            assert surplus.min() > 0.0
 
 
 class TestStackedBlocks:
     @pytest.mark.parametrize("pe", [0.0, 0.05])
     def test_eigvalsh_calls_per_iteration_do_not_grow_with_n(self, monkeypatch, pe):
+        """One eigvalsh call per Newton step, on the PSD stack's primal and
+        dual scaled directions together; the orthant part takes none."""
         eigvalsh = np.linalg.eigvalsh
-        ratios = []
         for n in (3, 12):
             calls = []
 
@@ -407,8 +428,26 @@ class TestStackedBlocks:
             monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
             solution = sdp.solve(sdp.build_problem(random_config(n, n, 0), pe))
             assert solution.status == "optimal"
-            ratios.append(len(calls) / solution.iterations)
-        assert ratios[0] == ratios[1]
+            assert len(calls) == 2 * solution.iterations
+
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_no_factorization_of_a_size_one_block(self, monkeypatch, pe):
+        """The 1 x 1 parts (the error row's slack, the surpluses) are scaled
+        in closed form, so no eigvalsh, svd or cholesky call sees a 1 x 1 block."""
+        sizes = []
+
+        def recording(func):
+            def wrapped(a, *args, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return func(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("eigvalsh", "svd", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        solution = sdp.solve(sdp.build_problem(random_config(4, 4, 0), pe))
+        assert solution.status == "optimal"
+        assert len(sizes) == 5 * solution.iterations  # 2 eigvalsh, 1 svd, 2 cholesky
+        assert min(sizes) == 4
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("primal", [True, False])
@@ -423,8 +462,11 @@ class TestStackedBlocks:
         x, z = psd_stack(0.5), psd_stack(0.5)
         scaling = sdp._NtScaling(x, z)
 
-        def max_step(sc, d):
-            return sdp._max_step(sc, sdp._scaled(sc, d, primal))
+        def max_step(sc, d):  # the other side's direction is zero, its step infinite
+            scaled, zero = sc.scaled(d, primal), np.zeros_like(d)
+            steps = sc.max_steps(*((scaled, zero) if primal else (zero, scaled)))
+            assert steps[primal] == np.inf
+            return steps[not primal]
 
         assert max_step(scaling, psd_stack(0.0)) == np.inf
 
@@ -451,13 +493,66 @@ class TestStackedBlocks:
                                        rng.uniform(0.5, 2.0, (k, d - 1))], axis=1)
             return sdp._herm((q * spectrum[:, None, :]) @ sdp._ct(q))
 
+        def hermitian_stack():
+            return sdp._herm(rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))
+
         x, z = psd_stack(), psd_stack()
         point = x if primal else z
+        scaling = sdp._NtScaling(x, z)
         for _ in range(3):
-            m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
-            direction = sdp._herm(m)
-            scaling = sdp._NtScaling(x, z)
-            alpha = sdp._max_step(scaling, sdp._scaled(scaling, direction, primal))
+            # the direction under test, and another one on the other side
+            direction, other = hermitian_stack(), hermitian_stack()
+            dx, dz = (direction, other) if primal else (other, direction)
+            steps = scaling.max_steps(scaling.scaled(dx, True), scaling.scaled(dz, False))
+            alpha = steps[not primal]
             assert 0.0 < alpha < np.inf
             assert np.linalg.eigvalsh(point + 0.999 * alpha * direction).min() >= 0.0
             assert np.linalg.eigvalsh(point + 1.001 * alpha * direction).min() < 0.0
+
+    @pytest.mark.parametrize("smallest", [0.3, 1e-9])
+    def test_orthant_scaling_closed_form(self, smallest):
+        """w z w = x and x / w = w z = lam at the closed-form scaling, and the
+        step lengths reach the boundary of the orthant on either side."""
+        rng = np.random.default_rng(5)
+        m = 6
+        x, z = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
+        x[2], z[4] = smallest, smallest
+        scaling = sdp._OrthantScaling(x, z)
+        w = scaling.w
+        assert np.allclose(w * z * w, x, rtol=1e-14, atol=0.0)
+        assert np.allclose(x / w, scaling.lam, rtol=1e-14, atol=0.0)
+        assert np.allclose(w * z, scaling.lam, rtol=1e-14, atol=0.0)
+        for _ in range(3):
+            dx, dz = rng.standard_normal(m), rng.standard_normal(m)
+            alpha_p, alpha_d = scaling.max_steps(scaling.scaled(dx, True), scaling.scaled(dz, False))
+            for point, direction, alpha in ((x, dx, alpha_p), (z, dz, alpha_d)):
+                assert 0.0 < alpha < np.inf
+                assert (point + 0.999 * alpha * direction).min() >= 0.0
+                assert (point + 1.001 * alpha * direction).min() < 0.0
+        assert scaling.max_steps(np.abs(dx), np.abs(dz)) == (np.inf, np.inf)
+
+    def test_orthant_scaling_matches_one_by_one_psd_blocks(self):
+        """On the same numbers held as (m, 1, 1) PSD blocks, the NT scaling
+        gives the same W D W, scaled directions, step lengths and corrector."""
+        rng = np.random.default_rng(8)
+        m = 5
+        x, z = rng.uniform(0.1, 3.0, m), rng.uniform(0.1, 3.0, m)
+        dx, dz = rng.standard_normal(m), rng.standard_normal(m)
+        orthant = sdp._OrthantScaling(x, z)
+
+        def blocks(v):
+            return v.astype(np.complex128).reshape(m, 1, 1)
+
+        psd = sdp._NtScaling(blocks(x), blocks(z))
+        du, dv = orthant.scaled(dx, True), orthant.scaled(dz, False)
+        du_b, dv_b = psd.scaled(blocks(dx), True), psd.scaled(blocks(dz), False)
+        pairs = [
+            (orthant.wdw(dx), psd.wdw(blocks(dx))),
+            (du, du_b),
+            (dv, dv_b),
+            (orthant.corrector(du, dv, 0.3), psd.corrector(du_b, dv_b, 0.3)),
+        ]
+        for vector, stack in pairs:
+            assert np.allclose(stack, blocks(vector), rtol=1e-13, atol=0.0)
+        assert np.allclose(orthant.max_steps(du, dv), psd.max_steps(du_b, dv_b),
+                           rtol=1e-13, atol=0.0)

@@ -6,7 +6,10 @@ Usage::
 
 Solves ``random_config(n, n, s)`` for s < 3 at N = 2, 4, 8, 16, 24 and 32,
 at budgets 0 and 0.05, and prints per N and budget the median wall time of
-the three solves and their iteration counts.  BLAS is pinned to one thread
+the three solves, their iteration counts, and the ``numpy.linalg`` calls per
+iteration (``eigvalsh``/``svd``/``cholesky``/``solve``) of one more, untimed
+solve of the seed-0 instance, so a change in the number of dispatched calls
+shows without a benchmark run.  BLAS is pinned to one thread
 before numpy loads, and ``wpduality`` is imported from the ``src/`` directory
 next to this script, so a copy of the script in another checkout measures
 that checkout.  One untimed solve runs first, so lazy set-up is not timed.
@@ -32,10 +35,33 @@ from wpduality.discrimination import random_config  # noqa: E402
 SIZES = (2, 4, 8, 16, 24, 32)
 BUDGETS = (0.0, 0.05)
 SEEDS = range(3)
+COUNTED = ("eigvalsh", "svd", "cholesky", "solve")  # numpy.linalg functions
 
 
-def measure(n: int, budget: float) -> tuple[float, list[int]]:
-    """Median wall time in ms and the iteration counts over the seeds."""
+def linalg_calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
+    """Calls of each ``COUNTED`` function per iteration of one solve, "a/b/c/d"."""
+    counts = dict.fromkeys(COUNTED, 0)
+    originals = {name: getattr(np.linalg, name) for name in COUNTED}
+
+    def counting(name):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapped
+
+    for name in COUNTED:
+        setattr(np.linalg, name, counting(name))
+    try:
+        iterations = sdp.solve(problem).iterations
+    finally:
+        for name, func in originals.items():
+            setattr(np.linalg, name, func)
+    return "/".join(f"{counts[name] / max(iterations, 1):g}" for name in COUNTED)
+
+
+def measure(n: int, budget: float) -> tuple[float, list[int], str]:
+    """Median wall time in ms and the iteration counts over the seeds, and
+    the linalg calls per iteration at seed 0."""
     times, iterations = [], []
     for seed in SEEDS:
         problem = sdp.build_problem(random_config(n, n, seed), budget)
@@ -46,19 +72,22 @@ def measure(n: int, budget: float) -> tuple[float, list[int]]:
         if solution.status != "optimal":
             print(f"N = {n}, seed {seed}, P_e = {budget:g}: status {solution.status!r}",
                   file=sys.stderr)
-    return float(np.median(times)), iterations
+    calls = linalg_calls_per_iteration(sdp.build_problem(random_config(n, n, SEEDS[0]), budget))
+    return float(np.median(times)), iterations, calls
 
 
 def main() -> int:
     sdp.solve(sdp.build_problem(random_config(4, 4, 0), 0.05))
-    header = "  N" + "".join(f" | {f'P_e = {b:g}':>10}: median ms, iterations" for b in BUDGETS)
+    print("calls/iter: numpy.linalg " + "/".join(COUNTED) + " per iteration, seed 0")
+    header = "  N" + "".join(f" | {f'P_e = {b:g}':>10}: median ms, iterations, calls/iter"
+                             for b in BUDGETS)
     print(header)
     print("-" * len(header))
     for n in SIZES:
         cells = []
         for budget in BUDGETS:
-            ms, iterations = measure(n, budget)
-            cells.append(f" | {ms:22.1f}, {'/'.join(map(str, iterations)):>10}")
+            ms, iterations, calls = measure(n, budget)
+            cells.append(f" | {ms:22.1f}, {'/'.join(map(str, iterations)):>10}, {calls:>10}")
         print(f"{n:3d}" + "".join(cells), flush=True)
     return 0
 
