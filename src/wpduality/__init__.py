@@ -4,120 +4,20 @@ The package computes relative-entropy coherence of path states, solves
 unambiguous and error-margin quantum state discrimination (analytically and
 via a dedicated block-diagonal semidefinite program), and verifies the
 duality relations tying path distinguishability to coherence.
+
+The public API is the union of the ``__all__`` lists of the five modules
+below, re-exported here.
 """
 
-from .discrimination import (
-    AsymmetricConfig,
-    DiscriminationOutcome,
-    SymmetricConfig,
-    asymmetric_coherence,
-    asymmetric_interferometer,
-    asymmetric_usd,
-    discriminate,
-    outcome_from_solution,
-    random_config,
-    symmetric_coherence,
-    symmetric_error_margin,
-    symmetric_interferometer,
-    symmetric_min_error,
-    usd_failure_lambda_min,
-)
-from .duality import (
-    DualityReport,
-    all_checks,
-    check_error_margin_bound,
-    check_error_margin_duality,
-    check_simplified_bound,
-    check_usd_duality,
-    error_margin_surface,
-)
-from .matlin import (
-    EigenDecomposition,
-    NotPsdError,
-    ValidationError,
-    eig_hermitian,
-    factor_gram,
-    hermitian,
-    is_psd,
-    min_eigenvalue,
-)
-from .quantum import (
-    ChannelStatistics,
-    InterferometerConfig,
-    binary_entropy,
-    coherence_rel_ent,
-    detector_density_matrix,
-    mutual_information,
-    normalized_coherence,
-    path_density_matrix,
-    probability_vector,
-    shannon_entropy,
-    usd_channel_statistics,
-    von_neumann_entropy,
-)
-from .sdp import (
-    BlockSdpProblem,
-    BlockSdpSolution,
-    NumericalBreakdownError,
-    PovmSet,
-    SolverOptions,
-    build_problem,
-    extract_povm,
-    povm_channel_statistics,
-    solve,
-)
+from . import discrimination, duality, matlin, quantum, sdp
+from .discrimination import *  # noqa: F403
+from .duality import *  # noqa: F403
+from .matlin import *  # noqa: F403
+from .quantum import *  # noqa: F403
+from .sdp import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricConfig",
-    "BlockSdpProblem",
-    "BlockSdpSolution",
-    "ChannelStatistics",
-    "DiscriminationOutcome",
-    "DualityReport",
-    "EigenDecomposition",
-    "InterferometerConfig",
-    "NotPsdError",
-    "NumericalBreakdownError",
-    "PovmSet",
-    "SolverOptions",
-    "SymmetricConfig",
-    "ValidationError",
-    "all_checks",
-    "asymmetric_coherence",
-    "asymmetric_interferometer",
-    "asymmetric_usd",
-    "binary_entropy",
-    "build_problem",
-    "check_error_margin_bound",
-    "check_error_margin_duality",
-    "check_simplified_bound",
-    "check_usd_duality",
-    "coherence_rel_ent",
-    "detector_density_matrix",
-    "discriminate",
-    "eig_hermitian",
-    "error_margin_surface",
-    "extract_povm",
-    "factor_gram",
-    "hermitian",
-    "is_psd",
-    "min_eigenvalue",
-    "mutual_information",
-    "normalized_coherence",
-    "outcome_from_solution",
-    "path_density_matrix",
-    "povm_channel_statistics",
-    "probability_vector",
-    "random_config",
-    "shannon_entropy",
-    "solve",
-    "symmetric_coherence",
-    "symmetric_error_margin",
-    "symmetric_interferometer",
-    "symmetric_min_error",
-    "usd_channel_statistics",
-    "usd_failure_lambda_min",
-    "von_neumann_entropy",
-]
+__all__ = sorted(
+    name for module in (discrimination, duality, matlin, quantum, sdp) for name in module.__all__
+)

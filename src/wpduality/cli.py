@@ -9,6 +9,7 @@ duality relation.  Exit codes: 0 all checks satisfied, 1 violation found,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -227,18 +228,6 @@ def _load_instance(path: str):
     return cfg, budget
 
 
-def _report_dict(report: duality.DualityReport) -> dict:
-    return {
-        "relation": report.relation,
-        "coherence_C": report.coherence_C,
-        "distinguishability_D": report.distinguishability_D,
-        "bound_lhs": report.bound_lhs,
-        "bound_rhs": report.bound_rhs,
-        "slack": report.slack,
-        "satisfied": report.satisfied,
-    }
-
-
 def cmd_solve(args) -> int:
     """Solve one instance file and emit a full JSON report."""
     cfg, budget = _load_instance(args.instance)
@@ -279,7 +268,7 @@ def cmd_solve(args) -> int:
             "gap": solution.gap,
             "dual_objective": solution.dual_objective,
         },
-        "duality": [_report_dict(r) for r in reports],
+        "duality": [dataclasses.asdict(r) for r in reports],
     }
     payload["satisfied_all"] = all(r.satisfied for r in reports)
     _write_json(args.out, payload)

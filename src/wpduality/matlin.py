@@ -1,7 +1,8 @@
 """Dense complex Hermitian linear algebra kernels.
 
 Eigendecomposition (LAPACK ``eigh`` behind a descending-order API),
-positive-semidefiniteness tests and Gram-matrix factorization.
+positive-semidefiniteness tests, the numerical support of a PSD matrix and
+Gram-matrix factorization.
 Matrices are plain numpy arrays; the helpers here validate and canonicalize
 them instead of wrapping them in classes.
 """
@@ -21,10 +22,12 @@ __all__ = [
     "hermitian",
     "is_psd",
     "min_eigenvalue",
+    "numerical_support",
 ]
 
 HERMITIAN_TOL = 1e-12
-GRAM_TRUNCATION = 1e-10
+PSD_TOL = 1e-9  # most negative eigenvalue a matrix accepted as PSD may have
+SUPPORT_RTOL = 1e-10  # relative eigenvalue cutoff of the numerical support
 
 
 class ValidationError(ValueError):
@@ -97,24 +100,37 @@ def is_psd(a, tol: float = 0.0) -> bool:
     return min_eigenvalue(a) >= -tol
 
 
+def numerical_support(dec: EigenDecomposition) -> EigenDecomposition:
+    """The eigenpairs of ``dec`` on its numerical support.
+
+    Keeps the eigenvalues above ``SUPPORT_RTOL`` times the largest one (and
+    above zero), in their descending order.  This is the one rank rule of
+    the package: the SDP solve and :func:`factor_gram` both use it.
+    """
+    w = dec.eigenvalues
+    keep = w > SUPPORT_RTOL * max(float(w[0]), 1e-300)
+    return EigenDecomposition(w[keep], dec.eigenvectors[:, keep])
+
+
 def factor_gram(g) -> np.ndarray:
     """Factor a PSD Gram matrix G into state vectors with G = F^H F.
 
     Returns a ``(rank, n)`` array whose column ``k`` is the (unnormalized)
     vector of state ``k``, so pairwise inner products reproduce ``G`` within
-    the truncation error.  Eigenvalues below 1e-10 are truncated, which fixes
-    the embedding dimension to the numerical rank.  Raises
-    :class:`NotPsdError` if ``G`` is not PSD within 1e-9.
+    the truncation error.  The rank is that of :func:`numerical_support`,
+    so eigenvalues at or below ``SUPPORT_RTOL`` times the largest are
+    truncated.  Row ``i`` is sqrt(lambda_i) v_i^H for a kept eigenpair, so
+    the rows are orthogonal: F F^H = diag(lambda).  The zero matrix has an
+    empty support; it gets one row of zeros, so downstream shapes stay
+    valid.  Raises :class:`NotPsdError` if ``G`` is not PSD within
+    ``PSD_TOL``.
     """
     dec = eig_hermitian(g)
-    if dec.eigenvalues[-1] < -1e-9:
+    if dec.eigenvalues[-1] < -PSD_TOL:
         raise NotPsdError(
-            f"Gram matrix has eigenvalue {dec.eigenvalues[-1]:.3e} < -1e-9"
+            f"Gram matrix has eigenvalue {dec.eigenvalues[-1]:.3e} < -{PSD_TOL:g}"
         )
-    keep = dec.eigenvalues > GRAM_TRUNCATION
-    if not np.any(keep):
-        # Zero matrix: a single zero-dimensional ... keep one row of zeros so
-        # downstream shapes stay valid.
+    support = numerical_support(dec)
+    if support.eigenvalues.size == 0:
         return np.zeros((1, dec.eigenvalues.size), dtype=np.complex128)
-    roots = np.sqrt(dec.eigenvalues[keep])
-    return roots[:, None] * dec.eigenvectors[:, keep].conj().T
+    return np.sqrt(support.eigenvalues)[:, None] * support.eigenvectors.conj().T

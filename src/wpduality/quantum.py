@@ -131,8 +131,8 @@ class InterferometerConfig:
             raise ValidationError("an interferometer needs at least 2 paths")
         if np.abs(np.diag(g).real - 1.0).max() > 1e-10:
             raise ValidationError("gram diagonal entries must equal 1")
-        if not matlin.is_psd(g, tol=1e-9):
-            raise matlin.NotPsdError("detector Gram matrix is not PSD within 1e-9")
+        if not matlin.is_psd(g, tol=matlin.PSD_TOL):
+            raise matlin.NotPsdError(f"detector Gram matrix is not PSD within {matlin.PSD_TOL:g}")
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "gram", g)
         self.priors.setflags(write=False)

@@ -90,7 +90,6 @@ __all__ = [
 
 log = logging.getLogger("wpduality.sdp")
 
-SUPPORT_RTOL = 1e-10  # relative eigenvalue cutoff for the support of G
 RANGE_TOL = 1e-6  # residual below which e_j counts as lying in range(G)
 STEP_FRACTION = 0.98  # share of the distance to the cone boundary per step
 
@@ -132,8 +131,8 @@ class BlockSdpProblem:
         if g.shape[0] != self.block_count:
             raise ValidationError("block_count must match the Gram dimension")
         spectrum = matlin.eig_hermitian(g)
-        if spectrum.eigenvalues[-1] < -1e-9:
-            raise matlin.NotPsdError("problem Gram matrix is not PSD within 1e-9")
+        if spectrum.eigenvalues[-1] < -matlin.PSD_TOL:
+            raise matlin.NotPsdError(f"problem Gram matrix is not PSD within {matlin.PSD_TOL:g}")
         if not 0.0 <= self.error_budget <= 1.0:
             raise ValidationError(f"error budget {self.error_budget} outside [0, 1]")
         object.__setattr__(self, "gram", g)
@@ -494,14 +493,6 @@ def _run_ipm(core, options: SolverOptions):
     return x, y, status, iterations, pobj, dobj, gap
 
 
-def _support(dec: matlin.EigenDecomposition):
-    w = dec.eigenvalues
-    scale = max(float(w[0]), 0.0)
-    keep = w > max(SUPPORT_RTOL * max(scale, 1e-300), 0.0)
-    q = dec.eigenvectors[:, keep]
-    return np.diag(w[keep]).astype(np.complex128), q
-
-
 def _identifiable(q: np.ndarray):
     """Indices of the states whose basis vector lies in range(G), and their
     unit rows q_j = Q^H e_j / |Q^H e_j|."""
@@ -537,7 +528,8 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
     """
     options = options or SolverOptions()
     n = problem.block_count
-    gt, q = _support(problem.spectrum)
+    support = matlin.numerical_support(problem.spectrum)
+    gt, q = np.diag(support.eigenvalues).astype(np.complex128), support.eigenvectors
     r = gt.shape[0]
     if r == 0:  # zero Gram matrix: nothing to discriminate
         return _trivial_solution(problem)
@@ -607,7 +599,9 @@ def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmS
     """Recover the POVM whose Gram-space image is the solution's blocks.
 
     With F the Gram factor (F^H F = G) the map is Pi_j = F^{+H} z_j F^{+};
-    on the support of G this inverts z_j = F^H Pi_j F exactly.
+    on the support of G this inverts z_j = F^H Pi_j F exactly.  F comes from
+    :func:`matlin.factor_gram`, whose rank rule is the solve's, so the
+    operators act on the same support the solve ran on.
     """
     if solution.status != "optimal":
         raise ValidationError(
@@ -615,7 +609,7 @@ def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmS
         )
     f = matlin.factor_gram(_weighted_gram(cfg))
     r, n = f.shape
-    b = np.linalg.solve(f @ f.conj().T, f)  # (F F^H)^{-1} F, pseudo-inverse transpose
+    b = f / (np.linalg.norm(f, axis=1) ** 2)[:, None]  # (F F^H)^{-1} F: F F^H is diagonal
     operators = [_herm(b @ z_j @ b.conj().T) for z_j in solution.blocks]
     failure = np.eye(r, dtype=np.complex128) - sum(operators)
     return PovmSet(
@@ -633,6 +627,6 @@ def povm_channel_statistics(povm: PovmSet, cfg: InterferometerConfig) -> Channel
     n = cfg.n_paths
     joint = np.zeros((n, n + 1))
     for j, op in enumerate(povm.operators):
-        joint[:, j] = np.real(np.einsum("ix,ij,jx->x", f.conj(), op, f))
+        joint[:, j] = ((f.conj().T @ op) * f.T).sum(axis=1).real  # f_x^H Pi_j f_x
     joint[:, n] = cfg.priors - joint[:, :n].sum(axis=1)
     return ChannelStatistics(joint)

@@ -11,6 +11,13 @@ def sym_config(n, c):
     )
 
 
+def support_gram(problem):
+    """The diagonal Gram matrix on the problem's numerical support and its
+    eigenvectors, as ``sdp.solve`` hands them to a core."""
+    support = matlin.numerical_support(problem.spectrum)
+    return np.diag(support.eigenvalues).astype(np.complex128), support.eigenvectors
+
+
 def two_state_margin_oracle(c, budget):
     """Optimal failure probability for two equiprobable states, overlap c.
 
@@ -240,6 +247,25 @@ class TestExtractPovm:
                     assert np.linalg.eigvalsh(op).min() >= -1e-6
                 assert np.linalg.eigvalsh(povm.failure_operator).min() >= -1e-6
 
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_statistics_are_the_block_diagonals(self, pe):
+        """joint[i, j] = f_i^H Pi_j f_i equals (z_j)_ii, and the POVM acts on
+        the support the solve ran on."""
+        shapes = [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 2),
+                  (4, 2), (5, 3), (6, 2), (6, 4), (4, 4), (5, 5)]
+        configs = [random_config(n, d, 3000 + i) for i, (n, d) in enumerate(shapes)]
+        # Orthogonal states with one prior above the solve's relative cutoff
+        # (5e-11 here) but below an absolute 1e-10.
+        configs.append(quantum.InterferometerConfig([0.5, 0.5 - 7e-11, 7e-11], np.eye(3)))
+        for cfg in configs:
+            problem = sdp.build_problem(cfg, pe)
+            solution = sdp.solve(problem)
+            povm = sdp.extract_povm(solution, cfg)
+            stats = sdp.povm_channel_statistics(povm, cfg)
+            assert povm.support_dim == matlin.numerical_support(problem.spectrum).eigenvalues.size
+            diagonals = np.stack([np.diag(z_j).real for z_j in solution.blocks], axis=1)
+            assert np.abs(stats.joint[:, : cfg.n_paths] - diagonals).max() <= 1e-12
+
     def test_requires_optimal_status(self):
         cfg = sym_config(2, 0.4)
         solution = sdp.solve(sdp.build_problem(cfg, 0.0))
@@ -325,7 +351,7 @@ class TestSchurSystem:
     def test_schur_solve_inverts_a_w_a_adjoint(self, pe, seed):
         """schur_solver(W) solves A(W A*(y) W) = rhs for y, for either core."""
         problem = sdp.build_problem(random_config(4, 4, seed), pe)
-        gt, q = sdp._support(problem.spectrum)
+        gt, q = support_gram(problem)
         core = sdp._MarginCore(gt, q.conj(), pe) if pe > 0 else sdp._UsdCore(gt, q.conj())
         x, _, z = core.initial_point()
         scalings = sdp._scalings(x, z)
@@ -397,7 +423,7 @@ class TestSchurSystem:
     ], ids=["n4", "n12", "m3-r4"])
     def test_usd_initial_point_is_strictly_feasible(self, cfg, m):
         problem = sdp.build_problem(cfg, 0.0)
-        gt, q = sdp._support(problem.spectrum)
+        gt, q = support_gram(problem)
         core = sdp._UsdCore(gt, sdp._identifiable(q)[1])
         assert core.b.size == m
         x, y, z = core.initial_point()

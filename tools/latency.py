@@ -6,13 +6,16 @@ Usage::
 
 Solves ``random_config(n, n, s)`` for s < 3 at N = 2, 4, 8, 16, 24 and 32,
 at budgets 0 and 0.05, and prints per N and budget the median wall time of
-the three solves, their iteration counts, and the ``numpy.linalg`` calls per
-iteration (``eigvalsh``/``svd``/``cholesky``/``solve``) of one more, untimed
-solve of the seed-0 instance, so a change in the number of dispatched calls
-shows without a benchmark run.  BLAS is pinned to one thread
-before numpy loads, and ``wpduality`` is imported from the ``src/`` directory
-next to this script, so a copy of the script in another checkout measures
-that checkout.  One untimed solve runs first, so lazy set-up is not timed.
+the three solves, the median wall time of reading the which-way measurement
+back from each (``extract_povm`` plus ``povm_channel_statistics``), their
+iteration counts, and the ``numpy.linalg`` calls per iteration
+(``eigvalsh``/``svd``/``cholesky``/``solve``) of one more, untimed solve of
+the seed-0 instance, so a change in the number of dispatched calls or in the
+cost of the which-way measurement shows without a benchmark run.  BLAS is
+pinned to one thread before numpy loads, and ``wpduality`` is imported from
+the ``src/`` directory next to this script, so a copy of the script in
+another checkout measures that checkout.  One untimed solve runs first, so
+lazy set-up is not timed.
 """
 
 from __future__ import annotations
@@ -59,12 +62,14 @@ def linalg_calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
     return "/".join(f"{counts[name] / max(iterations, 1):g}" for name in COUNTED)
 
 
-def measure(n: int, budget: float) -> tuple[float, list[int], str]:
-    """Median wall time in ms and the iteration counts over the seeds, and
-    the linalg calls per iteration at seed 0."""
-    times, iterations = [], []
+def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
+    """Median wall times in ms of the solve and of the POVM read-back, and
+    the iteration counts over the seeds, and the linalg calls per iteration
+    at seed 0.  The POVM median is over the optimal solves (NaN if none)."""
+    times, povm_times, iterations = [], [], []
     for seed in SEEDS:
-        problem = sdp.build_problem(random_config(n, n, seed), budget)
+        cfg = random_config(n, n, seed)
+        problem = sdp.build_problem(cfg, budget)
         start = time.perf_counter()
         solution = sdp.solve(problem)
         times.append(1e3 * (time.perf_counter() - start))
@@ -72,22 +77,29 @@ def measure(n: int, budget: float) -> tuple[float, list[int], str]:
         if solution.status != "optimal":
             print(f"N = {n}, seed {seed}, P_e = {budget:g}: status {solution.status!r}",
                   file=sys.stderr)
+            continue
+        start = time.perf_counter()
+        sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
+        povm_times.append(1e3 * (time.perf_counter() - start))
     calls = linalg_calls_per_iteration(sdp.build_problem(random_config(n, n, SEEDS[0]), budget))
-    return float(np.median(times)), iterations, calls
+    povm_ms = float(np.median(povm_times)) if povm_times else float("nan")
+    return float(np.median(times)), povm_ms, iterations, calls
 
 
 def main() -> int:
     sdp.solve(sdp.build_problem(random_config(4, 4, 0), 0.05))
+    print("povm ms: extract_povm + povm_channel_statistics on the solve's result")
     print("calls/iter: numpy.linalg " + "/".join(COUNTED) + " per iteration, seed 0")
-    header = "  N" + "".join(f" | {f'P_e = {b:g}':>10}: median ms, iterations, calls/iter"
-                             for b in BUDGETS)
+    header = "  N" + "".join(
+        f" | {f'P_e = {b:g}':>10}: median ms, povm ms, iterations, calls/iter" for b in BUDGETS)
     print(header)
     print("-" * len(header))
     for n in SIZES:
         cells = []
         for budget in BUDGETS:
-            ms, iterations, calls = measure(n, budget)
-            cells.append(f" | {ms:22.1f}, {'/'.join(map(str, iterations)):>10}, {calls:>10}")
+            ms, povm_ms, iterations, calls = measure(n, budget)
+            cells.append(f" | {ms:22.1f}, {povm_ms:7.1f}, {'/'.join(map(str, iterations)):>10},"
+                         f" {calls:>10}")
         print(f"{n:3d}" + "".join(cells), flush=True)
     return 0
 
