@@ -35,19 +35,21 @@ Schur complement A(W A*(y) W) is assembled in matrix-vector coordinates,
 where the congruence Y -> W Y W becomes kron(W, conj(W)): it is
 T = sum_j kron(W_j, conj(W_j)) bordered by the error row d, which is
 eliminated through its scalar pivot kappa - d^H T^-1 d before the rest is
-solved.  Each right-hand side takes one LU solve of a Hermitian positive
-definite system of size rank(G)^2; the first call also solves for T^-1 d, as
-a second column of the same solve, and later calls reuse it.  At P_e = 0, b
-is the m-vector of ones, and since each constraint is rank one the Schur
-matrix is the real m x m matrix |q_i^H W_Y q_j|^2 + diag(w_s^2), with W_Y
-and w_s the scalings of Y and of the surpluses (the rank-one technique of
-DSDP, Benson, Ye & Zhang, SIAM J. Optim. 10, 2000); each right-hand side
-takes one LU solve of it.  Either way an iteration makes two Schur solves and
-no Cholesky factor of the Schur matrix is needed.  No other solve or inverse
-is taken: the PSD stack's NT scaling comes from one Cholesky factor per side
-and one SVD, and the step lengths are read in the scaled space, where the
-current point is diagonal; the predictor's scaled directions are kept for
-the corrector.
+solved.  T is a Hermitian positive definite matrix of order rank(G)^2; the
+first solve (the predictor's) also solves for T^-1 d, as a second column,
+and the corrector's reuses it.  At P_e = 0, b is the m-vector of ones, and
+since each constraint is rank one the Schur matrix is the real m x m matrix
+|q_i^H W_Y q_j|^2 + diag(w_s^2), with W_Y and w_s the scalings of Y and of
+the surpluses (the rank-one technique of DSDP, Benson, Ye & Zhang, SIAM J.
+Optim. 10, 2000).  Either way an iteration hands its Schur matrix to
+``matlin.lu_solver`` once, and both Newton steps (predictor and corrector)
+solve with the one LU factor it takes (below order ``matlin.LU_MIN_ORDER``,
+where refactoring is cheaper, each solve is ``np.linalg.solve``); no
+Cholesky factor of the Schur matrix is needed.  No other solve or inverse
+is taken: the PSD stack's NT scaling comes from one Cholesky factor per
+side and one SVD, and the step lengths are read in the scaled space, where
+the current point is diagonal; the predictor's scaled directions are kept
+for the corrector.
 
 Each problem keeps its variables in two parts, so each phase of an iteration
 is one batched numpy call per part: a stack of equal-size PSD blocks, a
@@ -68,6 +70,7 @@ A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +111,9 @@ class SolverOptions:
     def __post_init__(self):
         if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValidationError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,8 @@ def _herm(m: np.ndarray) -> np.ndarray:
 # standard form min <C, X> s.t. A(X) = b, X PSD, with one dual vector y and
 # dual slack Z = C - A*(y): the right-hand side b, the cost blocks ``cost`` (C),
 # initial_point() -> (x, y, z), apply_a(blocks) -> vector,
-# apply_a_adjoint(y) -> blocks, schur_solver(scalings) -> solve(rhs) -> dy, and
+# apply_a_adjoint(y) -> blocks, schur_solver(scalings) -> solve(rhs) -> dy (one
+# Schur factorization per call, serving both Newton steps), and
 # objectives(x, y) -> (pobj, dobj) in P_f units: pobj is the failure
 # probability of the measurement the iterate encodes (from x at P_e > 0, from
 # the weights y at P_e = 0) and dobj the lower bound on it from the other side.
@@ -350,17 +355,18 @@ class _MarginCore:
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
         kappa = scalings[1].w[0] ** 2 + np.vdot(self.betas, wbw).real
+        t_solve = matlin.lu_solver(t_mat)
         t_inv_d = denom = None  # set by the first call, which solves for T^-1 d too
 
         def solve_fn(rhs):
             nonlocal t_inv_d, denom
             if t_inv_d is None:
-                u, t_inv_d = np.linalg.solve(t_mat, np.stack([rhs[:-1], dvec], axis=1)).T
+                u, t_inv_d = t_solve(np.stack([rhs[:-1], dvec], axis=1)).T
                 denom = kappa - np.vdot(dvec, t_inv_d).real
                 if not denom > 0.0:  # last pivot of the bordered Schur matrix
                     raise np.linalg.LinAlgError("Schur complement is not positive definite")
             else:
-                u = np.linalg.solve(t_mat, rhs[:-1])
+                u = t_solve(rhs[:-1])
             t_step = (rhs[-1].real - np.vdot(dvec, u).real) / denom
             return np.append(_herm((u - t_step * t_inv_d).reshape(r, r)).reshape(-1), t_step)
 
@@ -400,12 +406,7 @@ class _UsdCore:
 
     def schur_solver(self, scalings):
         v = self.qs.conj() @ scalings[0].w[0] @ self.qs.T  # v_ij = q_i^H W_Y q_j
-        schur = v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w ** 2)
-
-        def solve_fn(rhs):
-            return np.linalg.solve(schur, rhs)
-
-        return solve_fn
+        return matlin.lu_solver(v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w ** 2))
 
 
 def _newton_step(core, scalings, rp, rd, rc, schur_solve):

@@ -145,3 +145,82 @@ class TestFactorGram:
     def test_rejects_indefinite(self):
         with pytest.raises(matlin.NotPsdError):
             matlin.factor_gram(np.diag([1.0, -0.5]))
+
+
+DEFAULT_LU_MIN_ORDER = matlin.LU_MIN_ORDER
+
+
+def random_system(rng, n, dtype, columns):
+    """A random ``dtype`` matrix of order n and a right-hand side, 1-D for
+    ``columns`` = 0 and of that many columns otherwise."""
+    shape = (n, columns) if columns else (n,)
+    if dtype is np.float64:
+        return rng.standard_normal((n, n)), rng.standard_normal(shape)
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestLuSolver:
+    """Bitwise agreement holds with OpenBLAS on one thread, as conftest sets.
+    Every order is factored here, not only those from ``LU_MIN_ORDER`` on."""
+
+    @pytest.fixture(autouse=True)
+    def factor_every_order(self, monkeypatch):
+        monkeypatch.setattr(matlin, "LU_MIN_ORDER", 1)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_matches_numpy_solve_bit_for_bit(self, rng, n, dtype):
+        for columns in (0, 2):
+            a, b = random_system(rng, n, dtype, columns)
+            b_before = b.copy()
+            solve = matlin.lu_solver(a)
+            for _ in range(2):  # the factor serves every call
+                x = solve(b)
+                assert x.dtype == dtype
+                assert x.flags.c_contiguous
+                assert np.array_equal(x, np.linalg.solve(a, b))
+            assert np.array_equal(b, b_before)
+
+    def test_finds_getrf_and_getrs_in_bundled_openblas(self):
+        # Without the symbols every other test here covers only the fallback.
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
+                "openblas configuration", ""):
+            pytest.skip("numpy does not bundle the 64-bit-integer scipy-openblas")
+        assert set(matlin._lapack()) == {"d", "D"}
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_singular_matrix_raises(self, dtype):
+        for a in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3))):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                matlin.lu_solver(a.astype(dtype))(np.ones(a.shape[0], dtype=dtype))
+
+    def test_rejects_mismatched_right_hand_side(self, rng):
+        a, _ = random_system(rng, 4, np.float64, 0)
+        solve = matlin.lu_solver(a)
+        with pytest.raises(ValueError):
+            solve(np.ones(3))
+        with pytest.raises(ValueError):
+            solve(np.ones((4, 2, 2)))
+        with pytest.raises(TypeError):  # a real factor cannot solve a complex b
+            solve(np.ones(4, dtype=np.complex128))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_fallback_gives_the_same_bits(self, rng, monkeypatch, dtype):
+        systems = [random_system(rng, n, dtype, columns) for n in (3, 16) for columns in (0, 2)]
+        lapack = [matlin.lu_solver(a)(b) for a, b in systems]
+        monkeypatch.setattr(matlin, "_lapack", lambda: {})
+        for (a, b), x in zip(systems, lapack):
+            assert np.array_equal(matlin.lu_solver(a)(b), x)
+
+    def test_small_orders_solve_with_numpy(self, rng, monkeypatch):
+        monkeypatch.setattr(matlin, "LU_MIN_ORDER", DEFAULT_LU_MIN_ORDER)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(len(a)) or solve(a, b))
+        small, large = DEFAULT_LU_MIN_ORDER - 1, DEFAULT_LU_MIN_ORDER
+        for n in (small, large):
+            a, b = random_system(rng, n, np.float64, 0)
+            matlin.lu_solver(a)(b)
+        assert calls == ([small] if matlin._lapack() else [small, large])

@@ -18,6 +18,26 @@ def support_gram(problem):
     return np.diag(support.eigenvalues).astype(np.complex128), support.eigenvectors
 
 
+def record_lu_solver(monkeypatch):
+    """Patch ``matlin.lu_solver`` to record each factorization as a
+    [shape, solves] pair, counting the solves made with its factor."""
+    factors = []
+    lu_solver = matlin.lu_solver
+
+    def recording(a):
+        entry = [np.shape(a), 0]
+        factors.append(entry)
+        solve = lu_solver(a)
+
+        def counted(b):
+            entry[1] += 1
+            return solve(b)
+        return counted
+
+    monkeypatch.setattr(matlin, "lu_solver", recording)
+    return factors
+
+
 def two_state_margin_oracle(c, budget):
     """Optimal failure probability for two equiprobable states, overlap c.
 
@@ -307,6 +327,7 @@ class TestSolverDiagnostics:
     @pytest.mark.parametrize("field,value", [
         ("tolerance", 0.0), ("tolerance", -1.0), ("tolerance", float("nan")),
         ("tolerance", float("inf")), ("max_iterations", 0), ("max_iterations", -3),
+        ("max_iterations", 2.5),
     ])
     def test_options_rejected(self, field, value):
         with pytest.raises(matlin.ValidationError):
@@ -373,11 +394,14 @@ class TestSchurSystem:
 
     @pytest.mark.parametrize("pe", [0.0, 0.05])
     def test_schur_solves_per_iteration(self, monkeypatch, pe):
-        """Two LU solves per iteration, one per Newton step, and no other solve,
-        inverse or Schur factorization: at P_e > 0, T^-1 d for the error row's
-        border is a second column of the predictor's solve, and neither the NT
-        scaling nor the step lengths solve or invert anything."""
+        """One Schur factorization per iteration and two solves with it, one
+        per Newton step, and no other solve, inverse or Schur factorization:
+        at P_e > 0, T^-1 d for the error row's border is a second column of
+        the predictor's solve, and neither the NT scaling nor the step lengths
+        solve or invert anything."""
         counts = {"solve": 0, "inv": 0, "cholesky": 0}
+        factors = record_lu_solver(monkeypatch)
+        monkeypatch.setattr(matlin, "LU_MIN_ORDER", 1)  # factor even the small Schur matrices
 
         def counting(name, func):
             def wrapped(a, *args):
@@ -390,28 +414,40 @@ class TestSchurSystem:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         for n in (3, 12):
             counts.update(solve=0, inv=0, cholesky=0)
+            factors.clear()
             solution = sdp.solve(sdp.build_problem(random_config(n, n, 0), pe))
             assert solution.status == "optimal"
-            assert counts["solve"] / solution.iterations == 2
+            assert len(factors) == solution.iterations
+            assert sum(solves for _, solves in factors) == 2 * solution.iterations
+            # np.linalg.solve runs only as lu_solver's fallback without LAPACK symbols.
+            assert counts["solve"] == (0 if matlin._lapack() else 2 * solution.iterations)
             assert counts["inv"] == 0
             assert counts["cholesky"] == 0
 
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_lapack_factor_and_fallback_solve_alike(self, monkeypatch, pe):
+        """Solves through the LAPACK factor and through lu_solver's
+        np.linalg.solve fallback end bit for bit alike (BLAS on one thread)."""
+        problems = [sdp.build_problem(random_config(n, n, 3), pe) for n in (3, 5, 12)]
+        monkeypatch.setattr(matlin, "LU_MIN_ORDER", 1)  # factor even the small Schur matrices
+        lapack = [sdp.solve(problem) for problem in problems]
+        monkeypatch.setattr(matlin, "_lapack", lambda: {})
+        for problem, expected in zip(problems, lapack):
+            solution = sdp.solve(problem)
+            assert solution.status == expected.status == "optimal"
+            assert solution.iterations == expected.iterations
+            assert solution.objective == expected.objective
+            assert solution.gap == expected.gap
+            assert np.array_equal(solution.slack_psd, expected.slack_psd)
+
     def test_usd_schur_matrix_is_m_by_m(self, monkeypatch):
-        """At P_e = 0 each Schur solve is on the m x m matrix of the m
-        identifiable states, not on an r^2 x r^2 one."""
-        shapes = []
-        solve = np.linalg.solve
-
-        def recording(a, b):
-            if np.ndim(a) == 2:
-                shapes.append(np.shape(a))
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", recording)
+        """At P_e = 0 each Schur factorization is of the m x m matrix of the m
+        identifiable states, not of an r^2 x r^2 one."""
+        factors = record_lu_solver(monkeypatch)
         solution = sdp.solve(sdp.build_problem(random_config(12, 12, 0), 0.0))
         assert solution.status == "optimal"
-        assert len(shapes) == 2 * solution.iterations
-        assert set(shapes) == {(12, 12)}
+        assert len(factors) == solution.iterations
+        assert {shape for shape, _ in factors} == {(12, 12)}
 
     @pytest.mark.parametrize("cfg,m", [
         (random_config(4, 4, 0), 4),

@@ -8,14 +8,15 @@ Solves ``random_config(n, n, s)`` for s < 3 at N = 2, 4, 8, 16, 24 and 32,
 at budgets 0 and 0.05, and prints per N and budget the median wall time of
 the three solves, the median wall time of reading the which-way measurement
 back from each (``extract_povm`` plus ``povm_channel_statistics``), their
-iteration counts, and the ``numpy.linalg`` calls per iteration
-(``eigvalsh``/``svd``/``cholesky``/``solve``) of one more, untimed solve of
-the seed-0 instance, so a change in the number of dispatched calls or in the
-cost of the which-way measurement shows without a benchmark run.  BLAS is
-pinned to one thread before numpy loads, and ``wpduality`` is imported from
-the ``src/`` directory next to this script, so a copy of the script in
-another checkout measures that checkout.  One untimed solve runs first, so
-lazy set-up is not timed.
+iteration counts, and, per iteration of one more, untimed solve of the seed-0
+instance, the ``numpy.linalg`` calls (``eigvalsh``/``svd``/``cholesky``/
+``solve``) and the Schur work: the ``matlin.lu_solver`` factorizations and
+the solves made with them.  So a change in the number of dispatched calls or
+in the cost of the which-way measurement shows without a benchmark run.
+BLAS is pinned to one thread before numpy loads, and ``wpduality`` is
+imported from the ``src/`` directory next to this script, so a copy of the
+script in another checkout measures that checkout.  One untimed solve runs
+first, so lazy set-up is not timed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from wpduality import sdp  # noqa: E402
+from wpduality import matlin, sdp  # noqa: E402
 from wpduality.discrimination import random_config  # noqa: E402
 
 SIZES = (2, 4, 8, 16, 24, 32)
@@ -41,10 +42,13 @@ SEEDS = range(3)
 COUNTED = ("eigvalsh", "svd", "cholesky", "solve")  # numpy.linalg functions
 
 
-def linalg_calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
-    """Calls of each ``COUNTED`` function per iteration of one solve, "a/b/c/d"."""
-    counts = dict.fromkeys(COUNTED, 0)
+def calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
+    """Calls of each ``COUNTED`` function, then ``matlin.lu_solver``
+    factorizations and the solves with them, per iteration of one solve:
+    "a/b/c/d f/s"."""
+    counts = dict.fromkeys(COUNTED + ("factor", "lu solve"), 0)
     originals = {name: getattr(np.linalg, name) for name in COUNTED}
+    lu_solver = matlin.lu_solver
 
     def counting(name):
         def wrapped(*args, **kwargs):
@@ -52,20 +56,33 @@ def linalg_calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
             return originals[name](*args, **kwargs)
         return wrapped
 
+    def counting_lu_solver(a):
+        counts["factor"] += 1
+        solve = lu_solver(a)
+
+        def counted(b):
+            counts["lu solve"] += 1
+            return solve(b)
+        return counted
+
     for name in COUNTED:
         setattr(np.linalg, name, counting(name))
+    matlin.lu_solver = counting_lu_solver
     try:
         iterations = sdp.solve(problem).iterations
     finally:
         for name, func in originals.items():
             setattr(np.linalg, name, func)
-    return "/".join(f"{counts[name] / max(iterations, 1):g}" for name in COUNTED)
+        matlin.lu_solver = lu_solver
+    per = {name: f"{count / max(iterations, 1):g}" for name, count in counts.items()}
+    return "/".join(per[name] for name in COUNTED) + f" {per['factor']}/{per['lu solve']}"
 
 
 def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
     """Median wall times in ms of the solve and of the POVM read-back, and
-    the iteration counts over the seeds, and the linalg calls per iteration
-    at seed 0.  The POVM median is over the optimal solves (NaN if none)."""
+    the iteration counts over the seeds, and the linalg calls and Schur work
+    per iteration at seed 0.  The POVM median is over the optimal solves (NaN
+    if none)."""
     times, povm_times, iterations = [], [], []
     for seed in SEEDS:
         cfg = random_config(n, n, seed)
@@ -81,7 +98,7 @@ def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
         start = time.perf_counter()
         sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
         povm_times.append(1e3 * (time.perf_counter() - start))
-    calls = linalg_calls_per_iteration(sdp.build_problem(random_config(n, n, SEEDS[0]), budget))
+    calls = calls_per_iteration(sdp.build_problem(random_config(n, n, SEEDS[0]), budget))
     povm_ms = float(np.median(povm_times)) if povm_times else float("nan")
     return float(np.median(times)), povm_ms, iterations, calls
 
@@ -89,7 +106,8 @@ def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
 def main() -> int:
     sdp.solve(sdp.build_problem(random_config(4, 4, 0), 0.05))
     print("povm ms: extract_povm + povm_channel_statistics on the solve's result")
-    print("calls/iter: numpy.linalg " + "/".join(COUNTED) + " per iteration, seed 0")
+    print("calls/iter: numpy.linalg " + "/".join(COUNTED)
+          + ", then matlin.lu_solver factorizations/solves, per iteration, seed 0")
     header = "  N" + "".join(
         f" | {f'P_e = {b:g}':>10}: median ms, povm ms, iterations, calls/iter" for b in BUDGETS)
     print(header)
@@ -99,7 +117,7 @@ def main() -> int:
         for budget in BUDGETS:
             ms, povm_ms, iterations, calls = measure(n, budget)
             cells.append(f" | {ms:22.1f}, {povm_ms:7.1f}, {'/'.join(map(str, iterations)):>10},"
-                         f" {calls:>10}")
+                         f" {calls:>14}")
         print(f"{n:3d}" + "".join(cells), flush=True)
     return 0
 
