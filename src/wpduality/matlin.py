@@ -143,10 +143,8 @@ def factor_gram(g) -> np.ndarray:
     the truncation error.  The rank is that of :func:`numerical_support`,
     so eigenvalues at or below ``SUPPORT_RTOL`` times the largest are
     truncated.  Row ``i`` is sqrt(lambda_i) v_i^H for a kept eigenpair, so
-    the rows are orthogonal: F F^H = diag(lambda).  The zero matrix has an
-    empty support; it gets one row of zeros, so downstream shapes stay
-    valid.  Raises :class:`NotPsdError` if ``G`` is not PSD within
-    ``PSD_TOL``.
+    the rows are orthogonal: F F^H = diag(lambda).  Raises
+    :class:`NotPsdError` if ``G`` is not PSD within ``PSD_TOL``.
     """
     dec = eig_hermitian(g)
     if dec.eigenvalues[-1] < -PSD_TOL:
@@ -154,8 +152,6 @@ def factor_gram(g) -> np.ndarray:
             f"Gram matrix has eigenvalue {dec.eigenvalues[-1]:.3e} < -{PSD_TOL:g}"
         )
     support = numerical_support(dec)
-    if support.eigenvalues.size == 0:
-        return np.zeros((1, dec.eigenvalues.size), dtype=np.complex128)
     return np.sqrt(support.eigenvalues)[:, None] * support.eigenvectors.conj().T
 
 

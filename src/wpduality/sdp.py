@@ -65,6 +65,9 @@ together.
 A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 ``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
 ``"breakdown"`` (a factorization or solve failed), says how it ended.
+
+The answer stays in the solve's coordinates (``BlockSdpSolution``), which
+``extract_povm`` reads directly, so a solve and its read-back decompose G once.
 """
 
 from __future__ import annotations
@@ -146,14 +149,19 @@ class BlockSdpProblem:
 
 @dataclass(frozen=True)
 class BlockSdpSolution:
-    """Optimal blocks plus feasibility and certificate data.
+    """The optimum in the solve's own coordinates, plus certificate data.
 
-    ``objective`` is the minimum failure probability 1 - tr Z (clamped to
-    [0, 1]); ``slack_psd`` is G - sum z_j; ``error_used`` is tr(Z B);
-    ``gap`` is the primal-dual objective difference at termination.
+    ``support`` is the numerical support G ~ Q diag(lambda) Q^H the solve ran
+    on, Q of shape (N, r).  ``reduced`` is the optimum there: at P_e > 0 the
+    (N, r, r) stack of x_j, with blocks z_j = Q x_j Q^H; at P_e = 0 the N
+    weights w, with z_j = w_j |j><j|.  ``objective`` is the minimum failure
+    probability 1 - tr Z (clamped to [0, 1]); ``slack_psd`` is G - sum z_j;
+    ``error_used`` is tr(Z B); ``gap`` is the primal-dual objective
+    difference at termination.
     """
 
-    blocks: list
+    support: matlin.EigenDecomposition
+    reduced: np.ndarray
     objective: float
     slack_psd: np.ndarray
     error_used: float
@@ -162,17 +170,26 @@ class BlockSdpSolution:
     dual_objective: float
     gap: float
 
-
-def _weighted_gram(cfg: InterferometerConfig) -> np.ndarray:
-    """Prior-weighted Gram matrix G_jk = sqrt(p_j p_k) <eta_j|eta_k>."""
-    root = np.sqrt(cfg.priors)
-    return root[:, None] * root[None, :] * cfg.gram
+    @property
+    def blocks(self) -> list:
+        """The N x N blocks z_j, formed anew on each access."""
+        q = self.support.eigenvectors
+        if self.reduced.ndim == 3:
+            return [_herm(q @ x_j @ q.conj().T) for x_j in self.reduced]
+        n = q.shape[0]
+        # One array per block: writing the N nonzero entries of one (N, N, N)
+        # stack faulted in most of its 268 MB at N = 256.
+        blocks = [np.zeros((n, n), dtype=np.complex128) for _ in range(n)]
+        for j, w_j in enumerate(self.reduced):  # block j is w_j |j><j|
+            blocks[j][j, j] = w_j
+        return blocks
 
 
 def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpProblem:
-    """Assemble the problem on the prior-weighted Gram matrix of ``cfg``."""
-    return BlockSdpProblem(gram=_weighted_gram(cfg), error_budget=float(error_budget),
-                           block_count=cfg.n_paths)
+    """Assemble the problem on the weighted Gram G_jk = sqrt(p_j p_k) <eta_j|eta_k>."""
+    root = np.sqrt(cfg.priors)
+    return BlockSdpProblem(gram=root[:, None] * root[None, :] * cfg.gram,
+                           error_budget=float(error_budget), block_count=cfg.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -503,25 +520,10 @@ def _identifiable(q: np.ndarray):
     return members, qs_all[members] / norms[members, None]
 
 
-def _trivial_solution(problem: BlockSdpProblem) -> BlockSdpSolution:
-    n = problem.block_count
-    zeros = [np.zeros((n, n), dtype=np.complex128) for _ in range(n)]
-    return BlockSdpSolution(
-        blocks=zeros,
-        objective=1.0,
-        slack_psd=problem.gram.copy(),
-        error_used=0.0,
-        status="optimal",
-        iterations=0,
-        dual_objective=1.0,
-        gap=0.0,
-    )
-
-
 def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> BlockSdpSolution:
     """Minimize the failure probability subject to the error budget.
 
-    Returns the optimal blocks in the original N-dimensional coordinates
+    Returns the optimum on the support of G (see :class:`BlockSdpSolution`)
     together with the slack G - sum z_j, the error actually used, and the
     primal-dual certificate.  Never raises for a failed iteration: the
     status says how the solve ended, and a non-optimal one returns the last
@@ -532,38 +534,33 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
     support = matlin.numerical_support(problem.spectrum)
     gt, q = np.diag(support.eigenvalues).astype(np.complex128), support.eigenvectors
     r = gt.shape[0]
-    if r == 0:  # zero Gram matrix: nothing to discriminate
-        return _trivial_solution(problem)
 
-    if problem.error_budget <= 0.0:
+    if problem.error_budget <= 0.0 or r == 0:
         members, qs = _identifiable(q)
-        if members.size == 0:
-            return _trivial_solution(problem)
-        core = _UsdCore(gt, qs)
-        _, y, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
-        weights = np.maximum(y, 0.0)
-        # One array per block: writing the N nonzero entries of one (N, N, N)
-        # stack faulted in most of its 268 MB at N = 256.
-        blocks = [np.zeros((n, n), dtype=np.complex128) for _ in range(n)]
-        for j, w_j in zip(members, weights):  # block j is w_j |j><j|
-            blocks[j][j, j] = w_j
-        slack = problem.gram.copy()  # G - sum_j w_j |j><j|, without summing the blocks
-        slack[members, members] -= weights
+        reduced = np.zeros(n)  # the weights w
+        if members.size == 0:  # nothing identifiable (or a zero G): all weights zero
+            status, iterations, pobj, dobj, gap = "optimal", 0, 1.0, 1.0, 0.0
+        else:
+            core = _UsdCore(gt, qs)
+            _, y, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
+            reduced[members] = np.maximum(y, 0.0)
+        slack = problem.gram.copy()  # G - sum_j w_j |j><j|, without forming the blocks
+        slack[members, members] -= reduced[members]
         error_used = 0.0
     else:
-        qs = q.conj()
-        core = _MarginCore(gt, qs, problem.error_budget)
+        core = _MarginCore(gt, q.conj(), problem.error_budget)
         x, _, status, iterations, pobj, dobj, gap = _run_ipm(core, options)
-        blocks = [_herm(q @ x_j @ q.conj().T) for x_j in x[0][:n]]
-        error_used = float(np.vdot(core.betas, x[0][:n]).real)
-        slack = problem.gram - sum(blocks)
+        reduced = x[0][:n]
+        error_used = float(np.vdot(core.betas, reduced).real)
+        slack = problem.gram - _herm(q @ reduced.sum(axis=0) @ q.conj().T)
     objective = min(max(pobj, 0.0), 1.0)
     log.info(
         "solve: n=%d r=%d budget=%.3g status=%s iters=%d objective=%.9f gap=%.2e",
         n, r, problem.error_budget, status, iterations, objective, gap,
     )
     return BlockSdpSolution(
-        blocks=blocks,
+        support=support,
+        reduced=reduced,
         objective=objective,
         slack_psd=_herm(slack),
         error_used=error_used,
@@ -581,12 +578,12 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
 
 @dataclass(frozen=True)
 class PovmSet:
-    """Measurement operators recovered from an optimal solution.
+    """Measurement operators read back from an optimal solution.
 
     ``operators[j]`` identifies state j; ``failure_operator`` is the
-    inconclusive outcome.  All act on the Gram-factor embedding space of
-    dimension ``support_dim``; ``rank_deficient`` flags that the Gram matrix
-    was singular and the operators live on its support only.
+    inconclusive outcome.  All act on the solve's support of G, of dimension
+    ``support_dim``, where ``gram_factor`` F = diag(lambda)^{1/2} Q^H holds
+    the states as columns; ``rank_deficient`` flags a singular G.
     """
 
     operators: list
@@ -597,28 +594,33 @@ class PovmSet:
 
 
 def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmSet:
-    """Recover the POVM whose Gram-space image is the solution's blocks.
+    """Read the POVM Pi_j with z_j = F^H Pi_j F off the solution, F = L^{1/2} Q^H.
 
-    With F the Gram factor (F^H F = G) the map is Pi_j = F^{+H} z_j F^{+};
-    on the support of G this inverts z_j = F^H Pi_j F exactly.  F comes from
-    :func:`matlin.factor_gram`, whose rank rule is the solve's, so the
-    operators act on the same support the solve ran on.
+    With L = diag(lambda), Pi_j = L^{-1/2} x_j L^{-1/2} at P_e > 0, and the
+    rank-one w_j v_j v_j^H with v_j = L^{-1/2} Q^H e_j at P_e = 0; nothing is
+    decomposed again.  ``cfg`` must have the solution's number of paths.
     """
     if solution.status != "optimal":
         raise ValidationError(
             f"POVM extraction needs an optimal solution, got status {solution.status!r}"
         )
-    f = matlin.factor_gram(_weighted_gram(cfg))
-    r, n = f.shape
-    b = f / (np.linalg.norm(f, axis=1) ** 2)[:, None]  # (F F^H)^{-1} F: F F^H is diagonal
-    operators = [_herm(b @ z_j @ b.conj().T) for z_j in solution.blocks]
+    lam, q = solution.support.eigenvalues, solution.support.eigenvectors
+    n, r = q.shape
+    if cfg.n_paths != n:
+        raise ValidationError(f"configuration has {cfg.n_paths} paths, the solution {n}")
+    inv_root = 1.0 / np.sqrt(lam)
+    if solution.reduced.ndim == 3:  # a real symmetric scaling keeps each x_j Hermitian
+        operators = list(solution.reduced * (inv_root[:, None] * inv_root[None, :]))
+    else:  # one r x r array each: an (N, r, r) stack more than doubled the N = 256 peak
+        v = inv_root[:, None] * q.conj().T  # column j is v_j
+        operators = [w_j * np.outer(v_j, v_j.conj()) for w_j, v_j in zip(solution.reduced, v.T)]
     failure = np.eye(r, dtype=np.complex128) - sum(operators)
     return PovmSet(
         operators=operators,
         failure_operator=_herm(failure),
         support_dim=r,
         rank_deficient=r < n,
-        gram_factor=f,
+        gram_factor=np.sqrt(lam)[:, None] * q.conj().T,
     )
 
 

@@ -16,7 +16,8 @@ class TestOutcomeInvariants:
 
     def test_outcome_from_solution_clamps_error_to_conclusive(self):
         sol = sdp.BlockSdpSolution(
-            blocks=[], objective=0.4, slack_psd=np.zeros((2, 2)),
+            support=matlin.EigenDecomposition(np.zeros(0), np.zeros((2, 0))),
+            reduced=np.zeros(2), objective=0.4, slack_psd=np.zeros((2, 2)),
             error_used=0.6 + 1e-9, status="optimal", iterations=0,
             dual_objective=0.4, gap=0.0)
         out = disc.outcome_from_solution(sol)

@@ -139,7 +139,7 @@ class TestFactorGram:
             g = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
             f = matlin.factor_gram(g)
             assert np.abs(f.conj().T @ f - g).max() < 1e-8
-            ffh = f @ f.conj().T  # orthogonal rows, which extract_povm relies on
+            ffh = f @ f.conj().T  # orthogonal rows: F = diag(lambda)^(1/2) Q^H
             assert np.abs(ffh - np.diag(np.diag(ffh))).max() < 1e-12
 
     def test_rejects_indefinite(self):

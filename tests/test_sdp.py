@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,8 @@ class TestBuildProblem:
 
     @pytest.mark.parametrize("pe", [0.0, 0.05])
     def test_one_decomposition_per_solve(self, monkeypatch, pe):
+        """The problem's eigendecomposition is the only one a solve and its
+        POVM read-back take."""
         cfg = random_config(4, 4, 5)
         calls = []
         eig = matlin.eig_hermitian
@@ -112,7 +116,9 @@ class TestBuildProblem:
             return eig(a)
 
         monkeypatch.setattr(matlin, "eig_hermitian", counting_eig)
-        assert sdp.solve(sdp.build_problem(cfg, pe)).status == "optimal"
+        solution = sdp.solve(sdp.build_problem(cfg, pe))
+        assert solution.status == "optimal"
+        sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
         assert len(calls) == 1
 
 
@@ -169,11 +175,17 @@ class TestSolveUnambiguous:
     ], ids=["full-rank", "m3-r4"])
     def test_slack_is_gram_minus_the_blocks(self, cfg):
         """The slack formed from the weights, G - diag(w), is bit for bit
-        G minus the sum of the returned blocks."""
-        problem = sdp.build_problem(cfg, 0.0)
-        solution = sdp.solve(problem)
-        assert solution.status == "optimal"
-        assert np.array_equal(solution.slack_psd, sdp._herm(problem.gram - sum(solution.blocks)))
+        G minus the sum of the returned blocks; at P_e > 0 the slack formed
+        from the sum of the x_j agrees with it to rounding."""
+        for pe in (0.0, 0.05):
+            problem = sdp.build_problem(cfg, pe)
+            solution = sdp.solve(problem)
+            assert solution.status == "optimal"
+            expected = sdp._herm(problem.gram - sum(solution.blocks))
+            if pe == 0.0:
+                assert np.array_equal(solution.slack_psd, expected)
+            else:
+                assert np.abs(solution.slack_psd - expected).max() <= 1e-14
 
     def test_identical_states_unidentifiable(self):
         cfg = quantum.InterferometerConfig([0.5, 0.5], np.ones((2, 2)))
@@ -269,8 +281,9 @@ class TestExtractPovm:
 
     @pytest.mark.parametrize("pe", [0.0, 0.05])
     def test_statistics_are_the_block_diagonals(self, pe):
-        """joint[i, j] = f_i^H Pi_j f_i equals (z_j)_ii, and the POVM acts on
-        the support the solve ran on."""
+        """joint[i, j] = f_i^H Pi_j f_i equals (z_j)_ii, the POVM acts on the
+        support the solve ran on, and each operator is F^{+H} z_j F^{+}, with
+        F the Gram factor of the weighted Gram matrix."""
         shapes = [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 2),
                   (4, 2), (5, 3), (6, 2), (6, 4), (4, 4), (5, 5)]
         configs = [random_config(n, d, 3000 + i) for i, (n, d) in enumerate(shapes)]
@@ -283,24 +296,26 @@ class TestExtractPovm:
             povm = sdp.extract_povm(solution, cfg)
             stats = sdp.povm_channel_statistics(povm, cfg)
             assert povm.support_dim == matlin.numerical_support(problem.spectrum).eigenvalues.size
-            diagonals = np.stack([np.diag(z_j).real for z_j in solution.blocks], axis=1)
+            blocks = solution.blocks
+            diagonals = np.stack([np.diag(z_j).real for z_j in blocks], axis=1)
             assert np.abs(stats.joint[:, : cfg.n_paths] - diagonals).max() <= 1e-12
+            f = matlin.factor_gram(problem.gram)
+            f_pinv_h = f / (np.linalg.norm(f, axis=1) ** 2)[:, None]  # F F^H is diagonal
+            for op, z_j in zip(povm.operators, blocks, strict=True):
+                reference = f_pinv_h @ z_j @ f_pinv_h.conj().T
+                assert np.abs(op - reference).max() <= 1e-12
 
     def test_requires_optimal_status(self):
         cfg = sym_config(2, 0.4)
         solution = sdp.solve(sdp.build_problem(cfg, 0.0))
-        bad = sdp.BlockSdpSolution(
-            blocks=solution.blocks,
-            objective=solution.objective,
-            slack_psd=solution.slack_psd,
-            error_used=solution.error_used,
-            status="max-iterations",
-            iterations=200,
-            dual_objective=solution.dual_objective,
-            gap=solution.gap,
-        )
+        bad = dataclasses.replace(solution, status="max-iterations", iterations=200)
         with pytest.raises(matlin.ValidationError):
             sdp.extract_povm(bad, cfg)
+
+    def test_requires_the_solved_path_count(self):
+        solution = sdp.solve(sdp.build_problem(sym_config(2, 0.4), 0.0))
+        with pytest.raises(matlin.ValidationError):
+            sdp.extract_povm(solution, sym_config(3, 0.4))
 
 
 class TestAsymmetricGram:
@@ -332,6 +347,19 @@ class TestSolverDiagnostics:
     def test_options_rejected(self, field, value):
         with pytest.raises(matlin.ValidationError):
             sdp.SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    def test_zero_gram_is_the_all_zero_answer(self, pe):
+        """A zero Gram matrix has an empty support: at either budget the
+        answer is all weights zero after 0 iterations."""
+        gram = np.zeros((3, 3))
+        solution = sdp.solve(sdp.BlockSdpProblem(gram, pe, 3))
+        assert solution.status == "optimal"
+        assert solution.objective == 1.0
+        assert solution.iterations == 0
+        assert solution.error_used == 0.0
+        assert all(np.abs(b).max() == 0.0 for b in solution.blocks)
+        assert np.array_equal(solution.slack_psd, gram)
 
     def test_iteration_cap_status(self):
         problem = sdp.build_problem(sym_config(3, 0.5), 0.03)

@@ -16,7 +16,9 @@ copy of the script in another checkout measures that checkout.  The set is
 Each solve writes one JSON line: the instance key, the status, the iteration
 count, the ``repr`` of the objective, dual objective, gap and error used, and
 the minimum eigenvalue of the slack G - sum z_j.  A solve that raises is
-recorded with status ``"raised <ExceptionName>"``.
+recorded with status ``"raised <ExceptionName>"``.  BLAS is pinned to one
+thread before numpy loads: on more threads OpenBLAS picks its kernels by the
+host's thread count, and the last bits of the N = 16, P_e > 0 solves move.
 
 Given a baseline file written by the same script, prints per tolerance the
 status transitions and how many solves reproduce the ``repr`` of every value
@@ -33,6 +35,9 @@ import json
 import math
 import os
 import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
