@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -243,14 +244,13 @@ def cmd_solve(args) -> int:
     outcome = disc.outcome_from_solution(solution)
     coherence_bits = quantum.coherence_rel_ent(cfg)
     reports = duality.all_checks(cfg, outcome, coherence_bits)
-    rho_p = quantum.path_density_matrix(cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n_paths": cfg.n_paths,
         "error_budget": budget,
         "entropies": {
             "prior_shannon_bits": quantum.shannon_entropy(cfg.priors),
-            "path_von_neumann_bits": quantum.von_neumann_entropy(rho_p),
+            "path_von_neumann_bits": quantum.path_entropy(cfg),
         },
         "coherence": {
             "rel_ent_bits": coherence_bits,
@@ -390,6 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first ``main`` call and reused by later ones.
+
+    It depends on no input, and parsing leaves it unchanged.  Building it
+    takes a millisecond or more, mostly argparse making a help formatter
+    for each of its arguments.
+    """
+    return build_parser()
+
+
 def _configure_logging() -> None:
     level_name = os.environ.get("DUALITY_LOG", "warning").upper()
     level = getattr(logging, level_name, None)
@@ -401,8 +412,7 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

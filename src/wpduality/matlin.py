@@ -45,6 +45,7 @@ __all__ = [
     "lu_solver",
     "min_eigenvalue",
     "numerical_support",
+    "support_factor",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -128,22 +129,32 @@ def numerical_support(dec: EigenDecomposition) -> EigenDecomposition:
 
     Keeps the eigenvalues above ``SUPPORT_RTOL`` times the largest one (and
     above zero), in their descending order.  This is the one rank rule of
-    the package: the SDP solve and :func:`factor_gram` both use it.
+    the package: the SDP solve and :func:`support_factor` both use it.
     """
     w = dec.eigenvalues
     keep = w > SUPPORT_RTOL * max(float(w[0]), 1e-300)
     return EigenDecomposition(w[keep], dec.eigenvectors[:, keep])
 
 
+def support_factor(dec: EigenDecomposition) -> np.ndarray:
+    """The state vectors F = diag(lambda)^{1/2} Q^H of a PSD Gram matrix
+    G ~ Q diag(lambda) Q^H, from its decomposition ``dec``.
+
+    Returns a ``(rank, n)`` array whose column ``k`` is the (unnormalized)
+    vector of state ``k``, so G = F^H F within the truncation error.  The
+    rank is that of :func:`numerical_support`, so eigenvalues at or below
+    ``SUPPORT_RTOL`` times the largest are truncated.  Row ``i`` is
+    sqrt(lambda_i) v_i^H for a kept eigenpair, so the rows are orthogonal:
+    F F^H = diag(lambda).
+    """
+    support = numerical_support(dec)
+    return np.sqrt(support.eigenvalues)[:, None] * support.eigenvectors.conj().T
+
+
 def factor_gram(g) -> np.ndarray:
     """Factor a PSD Gram matrix G into state vectors with G = F^H F.
 
-    Returns a ``(rank, n)`` array whose column ``k`` is the (unnormalized)
-    vector of state ``k``, so pairwise inner products reproduce ``G`` within
-    the truncation error.  The rank is that of :func:`numerical_support`,
-    so eigenvalues at or below ``SUPPORT_RTOL`` times the largest are
-    truncated.  Row ``i`` is sqrt(lambda_i) v_i^H for a kept eigenpair, so
-    the rows are orthogonal: F F^H = diag(lambda).  Raises
+    Decomposes ``g`` and returns its :func:`support_factor`.  Raises
     :class:`NotPsdError` if ``G`` is not PSD within ``PSD_TOL``.
     """
     dec = eig_hermitian(g)
@@ -151,8 +162,7 @@ def factor_gram(g) -> np.ndarray:
         raise NotPsdError(
             f"Gram matrix has eigenvalue {dec.eigenvalues[-1]:.3e} < -{PSD_TOL:g}"
         )
-    support = numerical_support(dec)
-    return np.sqrt(support.eigenvalues)[:, None] * support.eigenvectors.conj().T
+    return support_factor(dec)
 
 
 @functools.cache

@@ -8,6 +8,7 @@ statistics of any which-way measurement.  All entropies are in bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "mutual_information",
     "normalized_coherence",
     "path_density_matrix",
+    "path_entropy",
     "probability_vector",
     "shannon_entropy",
     "usd_channel_statistics",
@@ -90,21 +92,26 @@ def binary_entropy(q: float) -> float:
     return _entropy_bits(np.array([q, 1.0 - q]))
 
 
-def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    w = matlin.eig_hermitian(rho).eigenvalues.copy()
+def _density_entropy(eigenvalues: np.ndarray) -> float:
+    """Entropy in bits of a density matrix with these eigenvalues (descending)."""
+    w = eigenvalues.copy()
     w[(w >= -1e-10) & (w < 0.0)] = 0.0
-    return w
-
-
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy of a density matrix, in bits."""
-    rho = matlin.hermitian(rho)
-    w = _clamped_spectrum(rho)
     if w[-1] < 0.0:
         raise ValidationError(f"not a density matrix: eigenvalue {w[-1]:.3e} < 0")
     if abs(w.sum() - 1.0) > 1e-8:
         raise ValidationError(f"not a density matrix: trace {w.sum()!r} != 1")
     return _entropy_bits(w)
+
+
+def von_neumann_entropy(rho) -> float:
+    """Von Neumann entropy of a density matrix, in bits."""
+    return _density_entropy(matlin.eig_hermitian(rho).eigenvalues)
+
+
+def _read_only(dec: matlin.EigenDecomposition) -> matlin.EigenDecomposition:
+    dec.eigenvalues.setflags(write=False)
+    dec.eigenvectors.setflags(write=False)
+    return dec
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,22 @@ class InterferometerConfig:
 
     ``gram[j, k]`` is the overlap <eta_j|eta_k> of the detector states, so the
     diagonal is 1 and the matrix is PSD.  Detector states are never stored as
-    explicit kets; the Gram matrix is the canonical representation and vectors
-    are reconstructed on demand by :func:`wpduality.matlin.factor_gram`.
+    explicit kets; the Gram matrix is the canonical representation.
+
+    Each Gram matrix is decomposed once per configuration, and every reader
+    shares that decomposition, whose arrays are read-only:
+
+    * ``gram_spectrum``, the detector Gram Gamma = ``gram``, taken by the PSD
+      check; the detector states are read from its support.
+    * ``weighted_spectrum``, the prior-weighted Gram G = D^{1/2} Gamma D^{1/2}
+      (``weighted_gram``), taken on first use.  The SDP solves on G, and the
+      path state rho_p = conj(G) has its eigenvalues, so S(rho_p) is read
+      from it too.
     """
 
     priors: np.ndarray
     gram: np.ndarray
+    gram_spectrum: matlin.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = probability_vector(self.priors)
@@ -131,10 +148,12 @@ class InterferometerConfig:
             raise ValidationError("an interferometer needs at least 2 paths")
         if np.abs(np.diag(g).real - 1.0).max() > 1e-10:
             raise ValidationError("gram diagonal entries must equal 1")
-        if not matlin.is_psd(g, tol=matlin.PSD_TOL):
+        spectrum = matlin.eig_hermitian(g)
+        if spectrum.eigenvalues[-1] < -matlin.PSD_TOL:
             raise matlin.NotPsdError(f"detector Gram matrix is not PSD within {matlin.PSD_TOL:g}")
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram_spectrum", _read_only(spectrum))
         self.priors.setflags(write=False)
         self.gram.setflags(write=False)
 
@@ -142,25 +161,38 @@ class InterferometerConfig:
     def n_paths(self) -> int:
         return self.priors.size
 
+    @functools.cached_property
+    def weighted_gram(self) -> np.ndarray:
+        """G_jk = sqrt(p_j p_k) <eta_j|eta_k>, the Gram matrix the SDP solves on."""
+        root = np.sqrt(self.priors)
+        g = root[:, None] * root[None, :] * self.gram
+        g.setflags(write=False)
+        return g
+
+    @functools.cached_property
+    def weighted_spectrum(self) -> matlin.EigenDecomposition:
+        """The eigendecomposition of ``weighted_gram``, taken on first use."""
+        return _read_only(matlin.eig_hermitian(self.weighted_gram))
+
 
 def path_density_matrix(cfg: InterferometerConfig) -> np.ndarray:
     """Reduced density matrix of the path degree of freedom.
 
-    Entry (j, k) is sqrt(p_j p_k) <eta_k|eta_j>; unit trace and PSD by
-    construction.
+    Entry (j, k) is sqrt(p_j p_k) <eta_k|eta_j>, so rho_p = conj(G) for the
+    configuration's ``weighted_gram`` G; unit trace and PSD by construction.
     """
-    root = np.sqrt(cfg.priors)
-    return root[:, None] * root[None, :] * np.conj(cfg.gram)
+    return cfg.weighted_gram.conj()
 
 
 def detector_density_matrix(cfg: InterferometerConfig) -> np.ndarray:
     """Reduced density matrix of the detector, in the Gram-factor embedding.
 
-    Built as sum_j p_j |eta_j><eta_j| from reconstructed state vectors; its
-    nonzero spectrum equals that of the path density matrix because both
-    reductions come from the same pure state.
+    Built as sum_j p_j |eta_j><eta_j| from the state vectors of
+    :func:`wpduality.matlin.support_factor` on the configuration's
+    ``gram_spectrum``; its nonzero spectrum equals that of the path density
+    matrix because both reductions come from the same pure state.
     """
-    f = matlin.factor_gram(cfg.gram)
+    f = matlin.support_factor(cfg.gram_spectrum)
     return (f * cfg.priors[None, :]) @ f.conj().T
 
 
@@ -168,12 +200,22 @@ def coherence_rel_ent(cfg: InterferometerConfig) -> float:
     """Relative-entropy coherence of the path state, in bits.
 
     Equals H({p_j}) - S(rho_p), i.e. the entropy of the dephased state minus
-    the entropy of the state itself; lies in [0, log2 N].
+    the entropy of the state itself; lies in [0, log2 N].  S(rho_p) is read
+    from the configuration's ``weighted_spectrum``.
     """
     n = cfg.n_paths
-    s_path = _entropy_bits(matlin.eig_hermitian(path_density_matrix(cfg)).eigenvalues)
-    value = _entropy_bits(cfg.priors) - s_path
+    value = _entropy_bits(cfg.priors) - _entropy_bits(cfg.weighted_spectrum.eigenvalues)
     return min(max(value, 0.0), float(np.log2(n)))
+
+
+def path_entropy(cfg: InterferometerConfig) -> float:
+    """Von Neumann entropy S(rho_p) of the path state, in bits.
+
+    Equals ``von_neumann_entropy(path_density_matrix(cfg))`` bit for bit,
+    read from the configuration's ``weighted_spectrum``: rho_p = conj(G), and
+    LAPACK's ``eigh`` gives conj(G) exactly the eigenvalues of G.
+    """
+    return _density_entropy(cfg.weighted_spectrum.eigenvalues)
 
 
 def normalized_coherence(cfg: InterferometerConfig) -> float:

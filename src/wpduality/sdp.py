@@ -66,15 +66,18 @@ A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 ``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
 ``"breakdown"`` (a factorization or solve failed), says how it ended.
 
-The answer stays in the solve's coordinates (``BlockSdpSolution``), which
-``extract_povm`` reads directly, so a solve and its read-back decompose G once.
+G is decomposed once per configuration: ``build_problem`` hands the solve
+the configuration's ``weighted_spectrum``, which ``quantum`` also reads
+S(rho_p) from.  The answer stays in the solve's coordinates
+(``BlockSdpSolution``), which ``extract_povm`` reads directly, so the
+read-back decomposes nothing either.
 """
 
 from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -112,9 +115,13 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+        # A bool passes the number checks below: True would mean tol 1.0, or 1 iteration.
+        if isinstance(self.tolerance, (bool, np.bool_)) or not (
+                np.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        iterations = self.max_iterations
+        if isinstance(iterations, bool) or not (
+                isinstance(iterations, numbers.Integral) and iterations >= 1):
             raise ValidationError(
                 f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
@@ -123,21 +130,24 @@ class SolverOptions:
 class BlockSdpProblem:
     """Prior-weighted Gram matrix, error budget and block count.
 
-    ``spectrum`` is the one eigendecomposition of ``gram``, taken when the
-    problem is built; the PSD check and the solver's support reduction both
-    read it.
+    ``spectrum`` is the one eigendecomposition of ``gram``; the PSD check and
+    the solver's support reduction both read it.  The problem decomposes
+    ``gram`` itself unless the caller passes ``decomposition``, one it
+    already holds: :func:`build_problem` passes the configuration's
+    ``weighted_spectrum``.
     """
 
     gram: np.ndarray
     error_budget: float
     block_count: int
+    decomposition: InitVar[matlin.EigenDecomposition | None] = None
     spectrum: matlin.EigenDecomposition = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, decomposition):
         g = matlin.hermitian(self.gram)
         if g.shape[0] != self.block_count:
             raise ValidationError("block_count must match the Gram dimension")
-        spectrum = matlin.eig_hermitian(g)
+        spectrum = matlin.eig_hermitian(g) if decomposition is None else decomposition
         if spectrum.eigenvalues[-1] < -matlin.PSD_TOL:
             raise matlin.NotPsdError(f"problem Gram matrix is not PSD within {matlin.PSD_TOL:g}")
         if not 0.0 <= self.error_budget <= 1.0:
@@ -186,10 +196,10 @@ class BlockSdpSolution:
 
 
 def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpProblem:
-    """Assemble the problem on the weighted Gram G_jk = sqrt(p_j p_k) <eta_j|eta_k>."""
-    root = np.sqrt(cfg.priors)
-    return BlockSdpProblem(gram=root[:, None] * root[None, :] * cfg.gram,
-                           error_budget=float(error_budget), block_count=cfg.n_paths)
+    """Assemble the problem on the weighted Gram G_jk = sqrt(p_j p_k) <eta_j|eta_k>,
+    with the configuration's one decomposition of it."""
+    return BlockSdpProblem(gram=cfg.weighted_gram, error_budget=float(error_budget),
+                           block_count=cfg.n_paths, decomposition=cfg.weighted_spectrum)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from wpduality import cli, discrimination as disc
+from wpduality import cli, discrimination as disc, matlin, quantum, sdp
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -302,6 +302,73 @@ class TestScan:
                          "--out", str(tmp_path / "out")]) == 2
 
 
+def write_config(path, cfg, budget=None):
+    write_instance(path, cfg.priors.tolist(), cfg.gram.real.tolist(),
+                   cfg.gram.imag.tolist(), budget)
+
+
+def count_eig_calls(monkeypatch):
+    """Patch ``matlin.eig_hermitian`` to record the shape of each call's matrix."""
+    calls = []
+    eig = matlin.eig_hermitian
+
+    def counting_eig(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(matlin, "eig_hermitian", counting_eig)
+    return calls
+
+
+class TestSharedDecomposition:
+    """Each configuration decomposes its detector Gram and its weighted Gram
+    once, and every reader shares those two decompositions."""
+
+    @pytest.mark.parametrize("budget", ["0", "0.05"])
+    def test_two_decompositions_per_solve(self, tmp_path, monkeypatch, budget):
+        inst = tmp_path / "inst.json"
+        write_config(inst, disc.random_config(5, 5, 3))
+        calls = count_eig_calls(monkeypatch)
+        assert cli.main(["solve", str(inst), "--error-budget", budget,
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("budgets", ["0.1", "0,0.01,0.1,0.3"])
+    def test_two_decompositions_per_scan_config(self, tmp_path, monkeypatch, budgets):
+        calls = count_eig_calls(monkeypatch)
+        assert cli.main(["scan", "--n-paths", "2,4", "--ensemble", "3", "--seed", "8",
+                         "--error-budget", budgets,
+                         "--out", str(tmp_path / "s.json")]) == 0
+        assert len(calls) == 2 * 2 * 3
+
+    @pytest.mark.parametrize("n,dim", [(2, 2), (3, 3), (4, 4), (5, 5), (16, 16), (48, 4)])
+    def test_shared_spectrum_is_bit_identical(self, tmp_path, n, dim):
+        """Coherence, the report's S(rho_p) and the problem's spectrum equal
+        what a fresh decomposition of rho_p gives, to the last bit."""
+        for seed in range(4):
+            cfg = disc.random_config(n, dim, seed)
+            rho_p = quantum.path_density_matrix(cfg)
+            eigenvalues = matlin.eig_hermitian(rho_p).eigenvalues
+            s_path = quantum.von_neumann_entropy(rho_p)
+            coherence = min(max(quantum.shannon_entropy(cfg.priors) - s_path, 0.0),
+                            float(np.log2(n)))
+            assert np.array_equal(sdp.build_problem(cfg, 0.05).spectrum.eigenvalues,
+                                  eigenvalues)
+            assert quantum.coherence_rel_ent(cfg) == coherence
+            inst, out = tmp_path / f"inst-{seed}.json", tmp_path / f"r-{seed}.json"
+            write_config(inst, cfg)
+            assert cli.main(["solve", str(inst), "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["entropies"]["path_von_neumann_bits"] == s_path
+            assert report["coherence"]["rel_ent_bits"] == coherence
+        for dec in (cfg.gram_spectrum, cfg.weighted_spectrum, sdp.build_problem(cfg, 0.0).spectrum):
+            for array in (dec.eigenvalues, dec.eigenvectors):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        with pytest.raises(ValueError):
+            cfg.weighted_gram[0, 0] = 0.0
+
+
 class TestLogging:
     def test_env_var_controls_level(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DUALITY_LOG", "debug")
@@ -337,6 +404,34 @@ class TestFlags:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, monkeypatch):
+        """One parser serves every call in a process, and no call's flags
+        carry over to the next."""
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        inst = tmp_path / "inst.json"
+        write_config(inst, disc.random_config(4, 4, 2), budget=0.05)
+        first, last = tmp_path / "first.json", tmp_path / "last.json"
+        cli._parser.cache_clear()
+        try:
+            assert cli.main(["solve", str(inst), "--out", str(first)]) == 0
+            assert cli.main(["solve", str(inst), "--tol", "1e-9", "--max-iter", "3",
+                             "--out", str(tmp_path / "capped.json")]) == 3
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["solve", str(inst), "--no-such-flag"])
+            assert exc.value.code == 2
+            assert cli.main(["solve", str(inst), "--out", str(last)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert last.read_bytes() == first.read_bytes()
 
     def test_rejection_sampling_is_bounded(self, tmp_path, monkeypatch, capsys):
         # Random N = 3 configs almost never reach normalized coherence 0.9.

@@ -342,7 +342,7 @@ class TestSolverDiagnostics:
     @pytest.mark.parametrize("field,value", [
         ("tolerance", 0.0), ("tolerance", -1.0), ("tolerance", float("nan")),
         ("tolerance", float("inf")), ("max_iterations", 0), ("max_iterations", -3),
-        ("max_iterations", 2.5),
+        ("max_iterations", 2.5), ("max_iterations", True), ("tolerance", True),
     ])
     def test_options_rejected(self, field, value):
         with pytest.raises(matlin.ValidationError):

@@ -11,8 +11,12 @@ back from each (``extract_povm`` plus ``povm_channel_statistics``), their
 iteration counts, and, per iteration of one more, untimed solve of the seed-0
 instance, the ``numpy.linalg`` calls (``eigvalsh``/``svd``/``cholesky``/
 ``solve``) and the Schur work: the ``matlin.lu_solver`` factorizations and
-the solves made with them.  So a change in the number of dispatched calls or
-in the cost of the which-way measurement shows without a benchmark run.
+the solves made with them.  It then runs each instance as one
+``duality solve`` request (``cli.main``, on an instance file) and prints
+the median wall time of the request minus its ``sdp.solve``, and the
+``matlin.eig_hermitian`` calls of the seed-0 request.  So a change in the
+number of dispatched calls, in the cost of the which-way measurement or in
+the fixed cost of a request shows without a benchmark run.
 BLAS is pinned to one thread before numpy loads, and ``wpduality`` is
 imported from the ``src/`` directory next to this script, so a copy of the
 script in another checkout measures that checkout.  One untimed solve runs
@@ -21,8 +25,10 @@ first, so lazy set-up is not timed.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+import tempfile
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -33,7 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from wpduality import matlin, sdp  # noqa: E402
+from wpduality import cli, matlin, sdp  # noqa: E402
 from wpduality.discrimination import random_config  # noqa: E402
 
 SIZES = (2, 4, 8, 16, 24, 32)
@@ -103,22 +109,72 @@ def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
     return float(np.median(times)), povm_ms, iterations, calls
 
 
+def request_cost(n: int, budget: float, workdir: str) -> tuple[float, int]:
+    """Median wall time in ms of one ``duality solve`` request minus the
+    ``sdp.solve`` inside it, over the seeds, and the ``matlin.eig_hermitian``
+    calls of one more, untimed request on the seed-0 instance."""
+    solve, eig = sdp.solve, matlin.eig_hermitian
+    solve_s, eig_calls = [], []
+
+    def timed_solve(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solve_s.append(time.perf_counter() - start)
+
+    def counting_eig(a):
+        eig_calls.append(1)
+        return eig(a)
+
+    instances = []
+    for seed in SEEDS:
+        cfg = random_config(n, n, seed)
+        instances.append(os.path.join(workdir, f"instance-{seed}.json"))
+        with open(instances[-1], "w", encoding="utf-8") as fh:
+            json.dump({"priors": cfg.priors.tolist(), "gram_re": cfg.gram.real.tolist(),
+                       "gram_im": cfg.gram.imag.tolist()}, fh)
+
+    def request(instance: str) -> float:
+        """Run one request; return its wall time outside ``sdp.solve`` in ms."""
+        solve_s.clear()
+        start = time.perf_counter()
+        cli.main(["solve", instance, "--error-budget", repr(budget),
+                  "--out", os.path.join(workdir, "report.json")])
+        return 1e3 * (time.perf_counter() - start - sum(solve_s))
+
+    sdp.solve = timed_solve
+    try:
+        overheads = [request(instance) for instance in instances]
+        matlin.eig_hermitian = counting_eig
+        request(instances[0])
+    finally:
+        sdp.solve, matlin.eig_hermitian = solve, eig
+    return float(np.median(overheads)), len(eig_calls)
+
+
 def main() -> int:
     sdp.solve(sdp.build_problem(random_config(4, 4, 0), 0.05))
     print("povm ms: extract_povm + povm_channel_statistics on the solve's result")
     print("calls/iter: numpy.linalg " + "/".join(COUNTED)
           + ", then matlin.lu_solver factorizations/solves, per iteration, seed 0")
+    print("request ms: median of one `duality solve` request minus its sdp.solve;"
+          " eig: its matlin.eig_hermitian calls, seed 0")
     header = "  N" + "".join(
-        f" | {f'P_e = {b:g}':>10}: median ms, povm ms, iterations, calls/iter" for b in BUDGETS)
+        f" | {f'P_e = {b:g}':>10}: median ms, povm ms, iterations, calls/iter, request ms, eig"
+        for b in BUDGETS)
     print(header)
     print("-" * len(header))
-    for n in SIZES:
-        cells = []
-        for budget in BUDGETS:
-            ms, povm_ms, iterations, calls = measure(n, budget)
-            cells.append(f" | {ms:22.1f}, {povm_ms:7.1f}, {'/'.join(map(str, iterations)):>10},"
-                         f" {calls:>14}")
-        print(f"{n:3d}" + "".join(cells), flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        request_cost(4, 0.05, workdir)  # the first request builds the CLI parser
+        for n in SIZES:
+            cells = []
+            for budget in BUDGETS:
+                ms, povm_ms, iterations, calls = measure(n, budget)
+                request_ms, eig_calls = request_cost(n, budget, workdir)
+                cells.append(f" | {ms:22.1f}, {povm_ms:7.1f}, {'/'.join(map(str, iterations)):>10},"
+                             f" {calls:>14}, {request_ms:10.2f}, {eig_calls:3d}")
+            print(f"{n:3d}" + "".join(cells), flush=True)
     return 0
 
 
