@@ -88,6 +88,21 @@ def _parse_list(text: str, flag: str, convert, noun: str) -> list:
     return values
 
 
+def _n_paths(args) -> list[int]:
+    """The ``--n-paths`` list; every entry must be at least 2."""
+    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
+    if min(n_list) < 2:
+        raise ValidationError(f"--n-paths entries must be >= 2, got {args.n_paths!r}")
+    return n_list
+
+
+def _grid(start: float, args) -> np.ndarray:
+    """``--grid`` evenly spaced points from ``start`` to 1; ``--grid`` must be >= 1."""
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be >= 1, got {args.grid!r}")
+    return np.linspace(start, 1.0, args.grid)
+
+
 def _solver_options(args) -> sdp.SolverOptions:
     return sdp.SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
 
@@ -101,10 +116,13 @@ def _config_seed(master: int, index: int) -> int:
 def _ensemble(n: int, args):
     """Rejection-sampled random configs for ``--ensemble``, ``--seed`` and
     ``--min-coherence``: yields ``(sample, cfg, coherence_bits)``.  Raises
-    ``ValidationError`` for ``--ensemble`` below 1, ``--min-coherence`` outside
-    [0, 1), or after ``MAX_REJECTED_DRAWS`` consecutive rejections."""
+    ``ValidationError`` for ``--ensemble`` below 1, a negative ``--seed``,
+    ``--min-coherence`` outside [0, 1), or after ``MAX_REJECTED_DRAWS``
+    consecutive rejections."""
     if args.ensemble < 1:
         raise ValidationError(f"--ensemble must be >= 1, got {args.ensemble!r}")
+    if args.seed < 0:  # SeedSequence takes no negative entropy
+        raise ValidationError(f"--seed must be >= 0, got {args.seed!r}")
     if not 0.0 <= args.min_coherence < 1.0:  # at 1 or above sampling would never end
         raise ValidationError(
             f"--min-coherence must lie in [0, 1), got {args.min_coherence!r}")
@@ -130,8 +148,8 @@ def _ensemble(n: int, args):
 
 def cmd_figure1(args) -> int:
     """Coherence vs distinguishability curves for the symmetric family."""
-    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
-    grid = np.linspace(0.0, 1.0, args.grid)
+    n_list = _n_paths(args)
+    grid = _grid(0.0, args)
     rows = []
     for n in n_list:
         log_n = float(np.log2(n))
@@ -144,11 +162,11 @@ def cmd_figure1(args) -> int:
 
 def cmd_figure3(args) -> int:
     """Coherence vs distinguishability curves for the asymmetric family."""
-    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
+    n_list = _n_paths(args)
     rows = []
     for n in n_list:
         log_n = float(np.log2(n))
-        for p in np.linspace(1.0 / n, 1.0, args.grid):
+        for p in _grid(1.0 / n, args):
             cfg = disc.AsymmetricConfig(n, float(p))
             p_f = n * (1.0 - float(p)) / (n - 1)
             rows.append([
@@ -160,8 +178,9 @@ def cmd_figure3(args) -> int:
 
 def cmd_figure2(args) -> int:
     """Random-ensemble coherence against the error-margin bound surface."""
-    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
+    n_list = _n_paths(args)
     budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
+    grid = _grid(0.0, args)
     options = _solver_options(args)
     header = [
         "kind", "n_paths", "sample", "p_e_budget", "p_e_used", "p_f",
@@ -183,7 +202,7 @@ def cmd_figure2(args) -> int:
                              sol.error_used, sol.objective, coh,
                              report.bound_lhs, sol.status])
         for pe in budgets:
-            for p_f in np.linspace(0.0, 1.0, args.grid):
+            for p_f in grid:
                 lhs = duality.error_margin_surface(n, float(pe), float(p_f))
                 rows.append(["bound", n, -1, float(pe), float(pe), float(p_f),
                              float("nan"), float(lhs), "surface"])
@@ -277,7 +296,7 @@ def cmd_solve(args) -> int:
 
 def cmd_scan(args) -> int:
     """Random-ensemble sweep of every relation; violations are fatal."""
-    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
+    n_list = _n_paths(args)
     budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
     options = _solver_options(args)
     relation_stats: dict[str, dict] = {}

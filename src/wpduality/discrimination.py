@@ -120,17 +120,18 @@ def usd_failure_lambda_min(cfg: InterferometerConfig) -> DiscriminationOutcome:
     Exact for equal-overlap (symmetric) detector states and for N = 2; for
     other overlap patterns it is only an upper bound on the optimal failure
     probability, so this routine insists on its stated regime: uniform priors
-    and a full-rank Gram matrix.
+    and a Gram matrix of full rank by :func:`wpduality.matlin.numerical_support`.
+    Reads the configuration's ``gram_spectrum``.
     """
     n = cfg.n_paths
     if np.abs(cfg.priors - 1.0 / n).max() > 1e-10:
         raise ValidationError("the lambda-min rule requires uniform priors")
-    lam_min = matlin.min_eigenvalue(cfg.gram)
-    if lam_min <= 1e-9:
+    spectrum = cfg.gram_spectrum
+    if matlin.numerical_support(spectrum).eigenvalues.size < n:
         raise ValidationError(
             "the lambda-min rule requires linearly independent detector states"
         )
-    p_f = min(max(1.0 - lam_min, 0.0), 1.0)
+    p_f = min(max(1.0 - float(spectrum.eigenvalues[-1]), 0.0), 1.0)
     return DiscriminationOutcome(
         p_success=1.0 - p_f, p_error=0.0, p_failure=p_f, method="lambda-min"
     )
@@ -253,7 +254,7 @@ def random_config(n_paths: int, detector_dim: int, seed: int) -> InterferometerC
     np.fill_diagonal(gram, 1.0)
     priors = rng.dirichlet(np.ones(n_paths))
     priors = priors / priors.sum()
-    return InterferometerConfig(priors, matlin.hermitian(gram, tol=1e-10))
+    return InterferometerConfig(priors, gram)
 
 
 def outcome_from_solution(solution: sdp.BlockSdpSolution) -> DiscriminationOutcome:

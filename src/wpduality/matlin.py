@@ -1,10 +1,10 @@
 """Dense complex Hermitian linear algebra kernels.
 
-Eigendecomposition (LAPACK ``eigh`` behind a descending-order API),
-positive-semidefiniteness tests, the numerical support of a PSD matrix,
-Gram-matrix factorization, and a factor-once linear solver.
-Matrices are plain numpy arrays; the helpers here validate and canonicalize
-them instead of wrapping them in classes.
+Eigendecomposition (LAPACK ``eigh`` behind a descending-order API), the one
+PSD rule (:func:`psd_spectrum`, which every accepted Gram matrix passes) and
+the one rank rule (:func:`numerical_support`), Gram-matrix factorization, and
+a factor-once linear solver.  Matrices are plain numpy arrays; the helpers
+here validate them, at fixed tolerances, instead of wrapping them in classes.
 
 :func:`lu_solver` LU-factors a square matrix once (LAPACK ``getrf``) and
 returns a function that solves for each right-hand side with the factor
@@ -45,6 +45,7 @@ __all__ = [
     "lu_solver",
     "min_eigenvalue",
     "numerical_support",
+    "psd_spectrum",
     "support_factor",
 ]
 
@@ -62,12 +63,12 @@ class NotPsdError(ValidationError):
     """Matrix required to be positive semidefinite is not."""
 
 
-def hermitian(entries, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian(entries) -> np.ndarray:
     """Validate a square Hermitian matrix and return a canonicalized copy.
 
-    The input must be finite, square, Hermitian within ``tol`` and have real
-    diagonal entries within ``tol``.  The returned array is exactly Hermitian
-    (symmetrized) with a real diagonal, dtype complex128.
+    The input must be finite, square, Hermitian within ``HERMITIAN_TOL`` and
+    have real diagonal entries within it.  The returned array is exactly
+    Hermitian (symmetrized) with a real diagonal, dtype complex128.
     """
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -78,9 +79,9 @@ def hermitian(entries, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValidationError("matrix contains NaN or Inf entries")
     scale = max(1.0, float(np.abs(a).max()))
     asym = np.abs(a - a.conj().T).max()
-    if asym > tol * scale:
+    if asym > HERMITIAN_TOL * scale:
         raise ValidationError(
-            f"matrix is not Hermitian: max |A - A^H| = {asym:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max |A - A^H| = {asym:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
     out = (a + a.conj().T) / 2.0
     idx = np.arange(a.shape[0])
@@ -124,6 +125,17 @@ def is_psd(a, tol: float = 0.0) -> bool:
     return min_eigenvalue(a) >= -tol
 
 
+def psd_spectrum(a) -> EigenDecomposition:
+    """The one PSD rule: the eigendecomposition of ``a``, read-only, or
+    :class:`NotPsdError` if an eigenvalue lies below ``-PSD_TOL``."""
+    dec = eig_hermitian(a)
+    if dec.eigenvalues[-1] < -PSD_TOL:
+        raise NotPsdError(f"matrix is not PSD: eigenvalue {dec.eigenvalues[-1]:.3e} < -{PSD_TOL:g}")
+    dec.eigenvalues.setflags(write=False)
+    dec.eigenvectors.setflags(write=False)
+    return dec
+
+
 def numerical_support(dec: EigenDecomposition) -> EigenDecomposition:
     """The eigenpairs of ``dec`` on its numerical support.
 
@@ -154,15 +166,10 @@ def support_factor(dec: EigenDecomposition) -> np.ndarray:
 def factor_gram(g) -> np.ndarray:
     """Factor a PSD Gram matrix G into state vectors with G = F^H F.
 
-    Decomposes ``g`` and returns its :func:`support_factor`.  Raises
-    :class:`NotPsdError` if ``G`` is not PSD within ``PSD_TOL``.
+    The :func:`support_factor` of ``psd_spectrum(g)``, so a ``g`` that is not
+    PSD within ``PSD_TOL`` raises :class:`NotPsdError`.
     """
-    dec = eig_hermitian(g)
-    if dec.eigenvalues[-1] < -PSD_TOL:
-        raise NotPsdError(
-            f"Gram matrix has eigenvalue {dec.eigenvalues[-1]:.3e} < -{PSD_TOL:g}"
-        )
-    return support_factor(dec)
+    return support_factor(psd_spectrum(g))
 
 
 @functools.cache

@@ -37,11 +37,11 @@ __all__ = [
 PROB_FLOOR = 1e-14
 
 
-def probability_vector(values, tol: float = 1e-10) -> np.ndarray:
+def probability_vector(values) -> np.ndarray:
     """Validate a probability distribution and return it as a float array.
 
     Entries may undershoot zero by at most 1e-12 (clamped); the sum must be
-    1 within ``tol``.
+    1 within 1e-10.
     """
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
@@ -51,8 +51,8 @@ def probability_vector(values, tol: float = 1e-10) -> np.ndarray:
     if p.min() < -1e-12 or p.max() > 1 + 1e-12:
         raise ValidationError(f"probabilities outside [0, 1]: min={p.min()}, max={p.max()}")
     total = p.sum()
-    if abs(total - 1.0) > tol:
-        raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {tol}")
+    if abs(total - 1.0) > 1e-10:
+        raise ValidationError(f"probabilities sum to {total!r}, expected 1 within 1e-10")
     return np.clip(p, 0.0, 1.0)
 
 
@@ -108,12 +108,6 @@ def von_neumann_entropy(rho) -> float:
     return _density_entropy(matlin.eig_hermitian(rho).eigenvalues)
 
 
-def _read_only(dec: matlin.EigenDecomposition) -> matlin.EigenDecomposition:
-    dec.eigenvalues.setflags(write=False)
-    dec.eigenvectors.setflags(write=False)
-    return dec
-
-
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Path priors plus the detector-state Gram matrix.
@@ -122,11 +116,12 @@ class InterferometerConfig:
     diagonal is 1 and the matrix is PSD.  Detector states are never stored as
     explicit kets; the Gram matrix is the canonical representation.
 
-    Each Gram matrix is decomposed once per configuration, and every reader
-    shares that decomposition, whose arrays are read-only:
+    Each Gram matrix is decomposed once per configuration, by
+    :func:`wpduality.matlin.psd_spectrum` (the PSD check), and every reader
+    shares that read-only decomposition:
 
-    * ``gram_spectrum``, the detector Gram Gamma = ``gram``, taken by the PSD
-      check; the detector states are read from its support.
+    * ``gram_spectrum``, the detector Gram Gamma = ``gram``, taken on
+      construction; the detector states and the lambda-min rule read it.
     * ``weighted_spectrum``, the prior-weighted Gram G = D^{1/2} Gamma D^{1/2}
       (``weighted_gram``), taken on first use.  The SDP solves on G, and the
       path state rho_p = conj(G) has its eigenvalues, so S(rho_p) is read
@@ -148,12 +143,9 @@ class InterferometerConfig:
             raise ValidationError("an interferometer needs at least 2 paths")
         if np.abs(np.diag(g).real - 1.0).max() > 1e-10:
             raise ValidationError("gram diagonal entries must equal 1")
-        spectrum = matlin.eig_hermitian(g)
-        if spectrum.eigenvalues[-1] < -matlin.PSD_TOL:
-            raise matlin.NotPsdError(f"detector Gram matrix is not PSD within {matlin.PSD_TOL:g}")
+        object.__setattr__(self, "gram_spectrum", matlin.psd_spectrum(g))
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "gram_spectrum", _read_only(spectrum))
         self.priors.setflags(write=False)
         self.gram.setflags(write=False)
 
@@ -172,7 +164,7 @@ class InterferometerConfig:
     @functools.cached_property
     def weighted_spectrum(self) -> matlin.EigenDecomposition:
         """The eigendecomposition of ``weighted_gram``, taken on first use."""
-        return _read_only(matlin.eig_hermitian(self.weighted_gram))
+        return matlin.psd_spectrum(self.weighted_gram)
 
 
 def path_density_matrix(cfg: InterferometerConfig) -> np.ndarray:

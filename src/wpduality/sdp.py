@@ -130,11 +130,11 @@ class SolverOptions:
 class BlockSdpProblem:
     """Prior-weighted Gram matrix, error budget and block count.
 
-    ``spectrum`` is the one eigendecomposition of ``gram``; the PSD check and
-    the solver's support reduction both read it.  The problem decomposes
-    ``gram`` itself unless the caller passes ``decomposition``, one it
-    already holds: :func:`build_problem` passes the configuration's
-    ``weighted_spectrum``.
+    ``spectrum`` is the one eigendecomposition of ``gram``, read-only; the
+    solver's support reduction reads it.  The problem takes it with
+    :func:`wpduality.matlin.psd_spectrum`, the PSD check, unless the caller
+    passes ``decomposition``, one that rule already took:
+    :func:`build_problem` passes the configuration's ``weighted_spectrum``.
     """
 
     gram: np.ndarray
@@ -147,9 +147,7 @@ class BlockSdpProblem:
         g = matlin.hermitian(self.gram)
         if g.shape[0] != self.block_count:
             raise ValidationError("block_count must match the Gram dimension")
-        spectrum = matlin.eig_hermitian(g) if decomposition is None else decomposition
-        if spectrum.eigenvalues[-1] < -matlin.PSD_TOL:
-            raise matlin.NotPsdError(f"problem Gram matrix is not PSD within {matlin.PSD_TOL:g}")
+        spectrum = matlin.psd_spectrum(g) if decomposition is None else decomposition
         if not 0.0 <= self.error_budget <= 1.0:
             raise ValidationError(f"error budget {self.error_budget} outside [0, 1]")
         object.__setattr__(self, "gram", g)

@@ -268,9 +268,27 @@ class TestScan:
         assert solver["statuses"]["breakdown"] > 0
         assert solver["iterations_max"] > 0
 
-    def test_bad_flag_value_exit_code(self, tmp_path):
-        assert cli.main(["scan", "--ensemble", "1", "--n-paths", "x",
-                         "--out", str(tmp_path / "s.json")]) == 2
+    @pytest.mark.parametrize("command,flag,value", [
+        ("scan", "--n-paths", "x"),
+        *[(command, "--n-paths", value)
+          for command in ("figure1", "figure2", "figure3", "scan") for value in ("0", "1", "3,1")],
+        *[(command, "--grid", value)
+          for command in ("figure1", "figure2", "figure3") for value in ("0", "-1")],
+        ("scan", "--seed", "-1"),
+        ("figure2", "--seed", "-1"),
+    ])
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, command, flag, value):
+        """An out-of-range value is an input error (exit 2) naming its flag,
+        and no output file is written."""
+        out = tmp_path / "out"
+        argv = [command, flag, value, "--out", str(out)]
+        if command in ("scan", "figure2"):
+            argv += ["--ensemble", "1"]
+        if flag != "--n-paths":
+            argv += ["--n-paths", "2"]
+        assert cli.main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["scan", "figure2"])
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -361,7 +379,9 @@ class TestSharedDecomposition:
             report = json.loads(out.read_text())
             assert report["entropies"]["path_von_neumann_bits"] == s_path
             assert report["coherence"]["rel_ent_bits"] == coherence
-        for dec in (cfg.gram_spectrum, cfg.weighted_spectrum, sdp.build_problem(cfg, 0.0).spectrum):
+        own = sdp.BlockSdpProblem(cfg.weighted_gram, 0.0, cfg.n_paths).spectrum  # decomposed anew
+        for dec in (cfg.gram_spectrum, cfg.weighted_spectrum, sdp.build_problem(cfg, 0.0).spectrum,
+                    own):
             for array in (dec.eigenvalues, dec.eigenvectors):
                 with pytest.raises(ValueError):
                     array[0] = 0.0

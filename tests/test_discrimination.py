@@ -97,6 +97,31 @@ class TestLambdaMinRule:
         with pytest.raises(matlin.ValidationError):
             disc.usd_failure_lambda_min(cfg)
 
+    def test_rejects_below_support_cutoff(self):
+        # Gamma has eigenvalues 3, 2e-10, 2e-10, below SUPPORT_RTOL * 3: rank 1.
+        cfg = disc.symmetric_interferometer(disc.SymmetricConfig(3, 1 - 2e-10))
+        with pytest.raises(matlin.ValidationError, match="linearly independent"):
+            disc.usd_failure_lambda_min(cfg)
+
+    def test_rank_rule_shared_with_sdp(self):
+        # Gamma has eigenvalues 3, 5e-10, 5e-10: all three lie in the
+        # numerical support, so the SDP and the rule both see full rank.
+        cfg = disc.symmetric_interferometer(disc.SymmetricConfig(3, 1 - 5e-10))
+        sol = sdp.solve(sdp.build_problem(cfg, 0.0))
+        assert sol.status == "optimal"
+        assert sol.support.eigenvalues.size == 3
+        out = disc.usd_failure_lambda_min(cfg)
+        assert out.p_failure == pytest.approx(1 - 5e-10, abs=1e-12)
+        assert out.p_failure == pytest.approx(sol.objective, abs=1e-9)
+
+    def test_reads_the_config_spectrum(self, monkeypatch):
+        cfg = disc.symmetric_interferometer(disc.SymmetricConfig(4, 0.3))
+        calls = []
+        eig = matlin.eig_hermitian
+        monkeypatch.setattr(matlin, "eig_hermitian", lambda a: calls.append(a) or eig(a))
+        assert disc.usd_failure_lambda_min(cfg).p_failure == pytest.approx(0.3, abs=1e-12)
+        assert calls == []
+
 
 class TestSymmetricErrorMargin:
     def test_zero_budget_recovers_overlap(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wpduality import matlin
+from wpduality import matlin, quantum, sdp
 
 from conftest import charpoly_eigenvalues, random_hermitian, random_psd
 
@@ -145,6 +145,22 @@ class TestFactorGram:
     def test_rejects_indefinite(self):
         with pytest.raises(matlin.NotPsdError):
             matlin.factor_gram(np.diag([1.0, -0.5]))
+
+
+class TestPsdRule:
+    @pytest.mark.parametrize("delta,accepted", [(2e-9, False), (5e-10, True)])
+    def test_one_boundary(self, delta, accepted):
+        """A configuration, a problem and ``factor_gram`` all check through
+        ``psd_spectrum``, so they accept and reject the same Gram matrices."""
+        gram = np.array([[1.0, 1.0 + delta], [1.0 + delta, 1.0]])  # eigenvalues 2 + delta, -delta
+        for check in (lambda: quantum.InterferometerConfig([0.5, 0.5], gram),
+                      lambda: sdp.BlockSdpProblem(gram, 0.0, 2),
+                      lambda: matlin.factor_gram(gram)):
+            if accepted:
+                check()
+            else:
+                with pytest.raises(matlin.NotPsdError):
+                    check()
 
 
 DEFAULT_LU_MIN_ORDER = matlin.LU_MIN_ORDER

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import wpduality
 from wpduality import discrimination, duality, matlin, quantum, sdp
 
@@ -12,3 +15,11 @@ def test_package_exports_every_module_name():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(wpduality, name) is getattr(mod, name)
+
+
+def test_one_psd_rule():
+    """Only ``matlin`` holds the PSD tolerance or calls LAPACK's ``eigh``:
+    every other module checks and decomposes through ``matlin``."""
+    holders = [path.name for path in sorted(pathlib.Path(wpduality.__file__).parent.glob("*.py"))
+               if re.search(r"PSD_TOL|linalg\.eigh\b", path.read_text(encoding="utf-8"))]
+    assert holders == ["matlin.py"]
