@@ -154,8 +154,9 @@ def cmd_figure1(args) -> int:
     for n in n_list:
         log_n = float(np.log2(n))
         for c in grid:
-            coh = disc.symmetric_coherence(disc.SymmetricConfig(n, float(c))) / log_n
-            rows.append([n, float(c), 1.0 - float(c), coh])
+            cfg = disc.SymmetricConfig(n, float(c))
+            rows.append([n, float(c), disc.symmetric_error_margin(cfg, 0.0).p_success,
+                         disc.symmetric_coherence(cfg) / log_n])
     _write_rows(args.out, ["n_paths", "overlap", "D", "C"], rows, args.format)
     return EXIT_OK
 
@@ -168,10 +169,8 @@ def cmd_figure3(args) -> int:
         log_n = float(np.log2(n))
         for p in _grid(1.0 / n, args):
             cfg = disc.AsymmetricConfig(n, float(p))
-            p_f = n * (1.0 - float(p)) / (n - 1)
-            rows.append([
-                n, float(p), 1.0 - p_f, disc.asymmetric_coherence(cfg) / log_n,
-            ])
+            rows.append([n, float(p), disc.asymmetric_usd(cfg).p_success,
+                         disc.asymmetric_coherence(cfg) / log_n])
     _write_rows(args.out, ["n_paths", "p", "D", "C"], rows, args.format)
     return EXIT_OK
 

@@ -41,9 +41,7 @@ __all__ = [
     "eig_hermitian",
     "factor_gram",
     "hermitian",
-    "is_psd",
     "lu_solver",
-    "min_eigenvalue",
     "numerical_support",
     "psd_spectrum",
     "support_factor",
@@ -111,18 +109,6 @@ def eig_hermitian(a) -> EigenDecomposition:
     w, v = np.linalg.eigh(hermitian(a))
     order = np.argsort(-w, kind="stable")
     return EigenDecomposition(w[order], v[:, order])
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(eig_hermitian(a).eigenvalues[-1])
-
-
-def is_psd(a, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue of Hermitian ``a`` is >= -tol."""
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
-    return min_eigenvalue(a) >= -tol
 
 
 def psd_spectrum(a) -> EigenDecomposition:

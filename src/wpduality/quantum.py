@@ -241,7 +241,7 @@ class ChannelStatistics:
             raise ValidationError(f"joint sums to {j.sum()!r}, expected 1")
         n = j.shape[0]
         conclusive = j[:, :n]
-        errors = float(conclusive.sum() - np.trace(conclusive))
+        errors = float(conclusive[~np.eye(n, dtype=bool)].sum())  # exactly 0 if diagonal
         object.__setattr__(self, "joint", j)
         object.__setattr__(self, "marginal_y", j.sum(axis=0))
         object.__setattr__(self, "failure_prob", float(j[:, n].sum()))

@@ -69,8 +69,9 @@ A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 G is decomposed once per configuration: ``build_problem`` hands the solve
 the configuration's ``weighted_spectrum``, which ``quantum`` also reads
 S(rho_p) from.  The answer stays in the solve's coordinates
-(``BlockSdpSolution``), which ``extract_povm`` reads directly, so the
-read-back decomposes nothing either.
+(``BlockSdpSolution``), the one form the read-back holds: ``PovmSet`` forms
+its operators on access, and ``povm_channel_statistics`` reads the block
+diagonals off the reduced variables, so the read-back decomposes nothing.
 """
 
 from __future__ import annotations
@@ -588,25 +589,35 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
 class PovmSet:
     """Measurement operators read back from an optimal solution.
 
-    ``operators[j]`` identifies state j; ``failure_operator`` is the
-    inconclusive outcome.  All act on the solve's support of G, of dimension
-    ``support_dim``, where ``gram_factor`` F = diag(lambda)^{1/2} Q^H holds
-    the states as columns; ``rank_deficient`` flags a singular G.
+    ``operators[j]``, formed from ``solution`` on each access, identifies
+    state j; ``failure_operator`` is the inconclusive outcome.  All act on
+    the solve's support of G, of dimension ``support_dim``;
+    ``rank_deficient`` flags a singular G.
     """
 
-    operators: list
     failure_operator: np.ndarray
     support_dim: int
     rank_deficient: bool
-    gram_factor: np.ndarray = field(repr=False)
+    solution: BlockSdpSolution = field(repr=False)
+
+    @property
+    def operators(self) -> list:
+        """The Pi_j of :func:`extract_povm`, one r x r array each."""
+        sol = self.solution
+        inv_root = 1.0 / np.sqrt(sol.support.eigenvalues)
+        if sol.reduced.ndim == 3:  # a real symmetric scaling keeps each x_j Hermitian
+            return list(sol.reduced * np.outer(inv_root, inv_root))
+        v = inv_root[:, None] * sol.support.eigenvectors.conj().T  # column j is v_j
+        return [w_j * np.outer(v_j, v_j.conj()) for w_j, v_j in zip(sol.reduced, v.T)]
 
 
 def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmSet:
     """Read the POVM Pi_j with z_j = F^H Pi_j F off the solution, F = L^{1/2} Q^H.
 
     With L = diag(lambda), Pi_j = L^{-1/2} x_j L^{-1/2} at P_e > 0, and the
-    rank-one w_j v_j v_j^H with v_j = L^{-1/2} Q^H e_j at P_e = 0; nothing is
-    decomposed again.  ``cfg`` must have the solution's number of paths.
+    rank-one w_j v_j v_j^H with v_j = L^{-1/2} Q^H e_j at P_e = 0.  Only the
+    failure operator I - sum_j Pi_j is formed here, in one step.  ``cfg``
+    must have the solution's number of paths.
     """
     if solution.status != "optimal":
         raise ValidationError(
@@ -616,28 +627,25 @@ def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmS
     n, r = q.shape
     if cfg.n_paths != n:
         raise ValidationError(f"configuration has {cfg.n_paths} paths, the solution {n}")
+    if solution.reduced.ndim == 3:
+        x = solution.reduced.sum(axis=0)
+    else:  # sum_j w_j Q^H e_j e_j^H Q
+        x = (q.conj().T * solution.reduced) @ q
     inv_root = 1.0 / np.sqrt(lam)
-    if solution.reduced.ndim == 3:  # a real symmetric scaling keeps each x_j Hermitian
-        operators = list(solution.reduced * (inv_root[:, None] * inv_root[None, :]))
-    else:  # one r x r array each: an (N, r, r) stack more than doubled the N = 256 peak
-        v = inv_root[:, None] * q.conj().T  # column j is v_j
-        operators = [w_j * np.outer(v_j, v_j.conj()) for w_j, v_j in zip(solution.reduced, v.T)]
-    failure = np.eye(r, dtype=np.complex128) - sum(operators)
-    return PovmSet(
-        operators=operators,
-        failure_operator=_herm(failure),
-        support_dim=r,
-        rank_deficient=r < n,
-        gram_factor=np.sqrt(lam)[:, None] * q.conj().T,
-    )
+    failure = np.eye(r, dtype=np.complex128) - x * np.outer(inv_root, inv_root)
+    return PovmSet(failure_operator=_herm(failure), support_dim=r, rank_deficient=r < n,
+                   solution=solution)
 
 
 def povm_channel_statistics(povm: PovmSet, cfg: InterferometerConfig) -> ChannelStatistics:
-    """Joint outcome statistics of the extracted POVM on the configuration."""
-    f = povm.gram_factor
-    n = cfg.n_paths
+    """Joint outcome statistics of the extracted POVM on the configuration:
+    joint[x, j] = f_x^H Pi_j f_x = (z_j)_xx, read off the reduced variables."""
+    sol, n = povm.solution, cfg.n_paths
     joint = np.zeros((n, n + 1))
-    for j, op in enumerate(povm.operators):
-        joint[:, j] = ((f.conj().T @ op) * f.T).sum(axis=1).real  # f_x^H Pi_j f_x
+    if sol.reduced.ndim == 3:  # (Q x_j Q^H)_xx
+        q = sol.support.eigenvectors
+        joint[:, :n] = ((q @ sol.reduced) * q.conj()).sum(axis=-1).real.T
+    else:  # z_j = w_j |j><j|
+        joint[:, :n] = np.diag(sol.reduced)
     joint[:, n] = cfg.priors - joint[:, :n].sum(axis=1)
     return ChannelStatistics(joint)

@@ -84,36 +84,36 @@ class TestEigHermitian:
 
 
 class TestMinEigenvalue:
+    """The smallest eigenvalue is the last of ``eig_hermitian``'s descending
+    spectrum."""
+
     def test_identity(self):
-        assert matlin.min_eigenvalue(np.eye(2)) == 1.0
+        assert matlin.eig_hermitian(np.eye(2)).eigenvalues[-1] == 1.0
 
     def test_symmetric_gram(self):
         # Fourier-basis diagonalization gives 1 - c
-        assert abs(matlin.min_eigenvalue(symmetric_gram(3, 0.5)) - 0.5) < 1e-12
+        assert abs(matlin.eig_hermitian(symmetric_gram(3, 0.5)).eigenvalues[-1] - 0.5) < 1e-12
 
     def test_rank_deficient_gram(self):
         # two identical states
-        assert abs(matlin.min_eigenvalue(np.ones((2, 2)))) <= 1e-9
-
-    def test_matches_full_decomposition(self, rng):
-        a = random_hermitian(rng, 6)
-        assert matlin.min_eigenvalue(a) == matlin.eig_hermitian(a).eigenvalues[-1]
+        assert abs(matlin.eig_hermitian(np.ones((2, 2))).eigenvalues[-1]) <= 1e-9
 
 
 class TestIsPsd:
+    """Whether a matrix is PSD is decided by ``psd_spectrum`` alone, at the
+    fixed ``PSD_TOL``."""
+
     def test_identity(self):
-        assert matlin.is_psd(np.eye(4), tol=0.0)
+        assert np.array_equal(matlin.psd_spectrum(np.eye(4)).eigenvalues, np.ones(4))
 
     def test_small_negative(self):
-        assert not matlin.is_psd(np.diag([1.0, -0.01]), tol=1e-9)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(matlin.ValidationError):
-            matlin.is_psd(np.eye(2), tol=-1.0)
+        with pytest.raises(matlin.NotPsdError):
+            matlin.psd_spectrum(np.diag([1.0, -0.01]))
 
     def test_boundary(self, rng):
         a = random_psd(rng, 5, rank=3)
-        assert matlin.is_psd(a, tol=1e-9)
+        # accepted, with the rank the one rank rule reads off the same spectrum
+        assert matlin.numerical_support(matlin.psd_spectrum(a)).eigenvalues.size == 3
 
 
 class TestFactorGram:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def assert_solution_invariants(problem, solution):
     assert solution.error_used <= problem.error_budget + 1e-7
     for block in solution.blocks:
         assert np.linalg.eigvalsh(block).min() >= -1e-7
-    assert matlin.is_psd(solution.slack_psd, tol=1e-7)
+    assert np.linalg.eigvalsh(solution.slack_psd).min() >= -1e-7
 
 
 class TestSolveUnambiguous:
@@ -304,6 +305,32 @@ class TestExtractPovm:
             for op, z_j in zip(povm.operators, blocks, strict=True):
                 reference = f_pinv_h @ z_j @ f_pinv_h.conj().T
                 assert np.abs(op - reference).max() <= 1e-12
+
+    def test_zero_budget_statistics_are_the_weights(self):
+        """At P_e = 0 block j is w_j |j><j|, so the conclusive statistics are
+        diag(w) exactly and no error is made."""
+        shapes = [(2, 2), (3, 3), (4, 4), (5, 5), (5, 3), (6, 2), (8, 8)]
+        configs = [random_config(n, d, s) for n, d in shapes for s in range(4)]
+        configs.append(sym_config(16, 0.5))
+        for cfg in configs:
+            solution = sdp.solve(sdp.build_problem(cfg, 0.0))
+            stats = sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
+            assert np.array_equal(stats.joint[:, : cfg.n_paths], np.diag(solution.reduced))
+            assert stats.error_prob == 0.0
+
+    def test_read_back_memory(self):
+        """The read-back forms no operator list: at N = 128 it allocates
+        about one r x r matrix at a time, where the list alone is 33 MB."""
+        cfg = sym_config(128, 0.5)
+        solution = sdp.solve(sdp.build_problem(cfg, 0.0))
+        tracemalloc.start()
+        try:
+            stats = sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert stats.failure_prob == pytest.approx(0.5, abs=1e-6)
 
     def test_requires_optimal_status(self):
         cfg = sym_config(2, 0.4)

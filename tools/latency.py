@@ -14,7 +14,11 @@ instance, the ``numpy.linalg`` calls (``eigvalsh``/``svd``/``cholesky``/
 the solves made with them.  It then runs each instance as one
 ``duality solve`` request (``cli.main``, on an instance file) and prints
 the median wall time of the request minus its ``sdp.solve``, and the
-``matlin.eig_hermitian`` calls of the seed-0 request.  So a change in the
+``matlin.eig_hermitian`` calls of the seed-0 request.  First, before the
+table, it solves the symmetric family at N = 256, overlap 0.5, P_e = 0 once
+and prints the solve's wall time, the read-back's wall time and
+``tracemalloc`` peak, and the process's peak RSS after both, which is then
+theirs (the table's solves need less).  So a change in the
 number of dispatched calls, in the cost of the which-way measurement or in
 the fixed cost of a request shows without a benchmark run.
 BLAS is pinned to one thread before numpy loads, and ``wpduality`` is
@@ -27,9 +31,11 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -40,11 +46,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from wpduality import cli, matlin, sdp  # noqa: E402
-from wpduality.discrimination import random_config  # noqa: E402
+from wpduality.discrimination import (  # noqa: E402
+    SymmetricConfig, random_config, symmetric_interferometer)
 
 SIZES = (2, 4, 8, 16, 24, 32)
 BUDGETS = (0.0, 0.05)
 SEEDS = range(3)
+LARGE = (256, 0.5)  # symmetric family: N, overlap; solved at P_e = 0
 COUNTED = ("eigvalsh", "svd", "cholesky", "solve")  # numpy.linalg functions
 
 
@@ -109,6 +117,27 @@ def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
     return float(np.median(times)), povm_ms, iterations, calls
 
 
+def large_readback() -> str:
+    """One P_e = 0 solve of the ``LARGE`` symmetric instance and its read-back:
+    the solve's ms, the read-back's ms and ``tracemalloc`` peak in MB, and
+    the process's peak RSS in MB after both."""
+    cfg = symmetric_interferometer(SymmetricConfig(*LARGE))
+    start = time.perf_counter()
+    solution = sdp.solve(sdp.build_problem(cfg, 0.0))
+    solve_ms = 1e3 * (time.perf_counter() - start)
+    start = time.perf_counter()
+    sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
+    readback_ms = 1e3 * (time.perf_counter() - start)
+    tracemalloc.start()
+    sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
+    peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return (f"symmetric N = {LARGE[0]}, c = {LARGE[1]:g}, P_e = 0 ({solution.status}):"
+            f" solve {solve_ms:.0f} ms, read-back {readback_ms:.1f} ms,"
+            f" read-back tracemalloc peak {peak_mb:.1f} MB, peak RSS {rss_mb:.0f} MB")
+
+
 def request_cost(n: int, budget: float, workdir: str) -> tuple[float, int]:
     """Median wall time in ms of one ``duality solve`` request minus the
     ``sdp.solve`` inside it, over the seeds, and the ``matlin.eig_hermitian``
@@ -155,6 +184,7 @@ def request_cost(n: int, budget: float, workdir: str) -> tuple[float, int]:
 
 def main() -> int:
     sdp.solve(sdp.build_problem(random_config(4, 4, 0), 0.05))
+    print(large_readback(), flush=True)
     print("povm ms: extract_povm + povm_channel_statistics on the solve's result")
     print("calls/iter: numpy.linalg " + "/".join(COUNTED)
           + ", then matlin.lu_solver factorizations/solves, per iteration, seed 0")
