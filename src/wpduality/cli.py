@@ -2,8 +2,10 @@
 
 Subcommands reproduce the three reference figures as data files, solve
 user-supplied instances, and run seeded random-ensemble scans of every
-duality relation.  Exit codes: 0 all checks satisfied, 1 violation found,
-2 input or validation error, 3 solver failure (a non-optimal solve status).
+duality relation.  ``scan`` and ``figure2`` reduce over ``_sweep``, the one
+seeded-ensemble loop.  Exit codes: 0 all checks satisfied, 1 violation
+found, 2 input or validation error, 3 solver failure (a non-optimal solve
+status).
 """
 
 from __future__ import annotations
@@ -96,6 +98,14 @@ def _n_paths(args) -> list[int]:
     return n_list
 
 
+def _error_budgets(text: str) -> list[float]:
+    """An ``--error-budget`` list; every entry must be a number in [0, 1]."""
+    budgets = _parse_list(text, "--error-budget", float, "numbers")
+    if not all(0.0 <= pe <= 1.0 for pe in budgets):  # NaN fails the test too
+        raise ValidationError(f"--error-budget entries must lie in [0, 1], got {text!r}")
+    return budgets
+
+
 def _grid(start: float, args) -> np.ndarray:
     """``--grid`` evenly spaced points from ``start`` to 1; ``--grid`` must be >= 1."""
     if args.grid < 1:
@@ -113,12 +123,16 @@ def _config_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
 
 
-def _ensemble(n: int, args):
-    """Rejection-sampled random configs for ``--ensemble``, ``--seed`` and
-    ``--min-coherence``: yields ``(sample, cfg, coherence_bits)``.  Raises
+def _sweep(args, n: int, budgets: list[float]):
+    """Rejection-sampled random configs at ``n`` paths for ``--ensemble``,
+    ``--seed`` and ``--min-coherence``, each solved at every budget: yields
+    ``(sample, budget, cfg, coherence_bits, solution)`` right after each
+    solve, one solve per step.  ``sdp`` is called through its module, so a
+    tracer that rebinds its attributes sees every solve.  Raises
     ``ValidationError`` for ``--ensemble`` below 1, a negative ``--seed``,
     ``--min-coherence`` outside [0, 1), or after ``MAX_REJECTED_DRAWS``
     consecutive rejections."""
+    options = _solver_options(args)
     if args.ensemble < 1:
         raise ValidationError(f"--ensemble must be >= 1, got {args.ensemble!r}")
     if args.seed < 0:  # SeedSequence takes no negative entropy
@@ -142,7 +156,9 @@ def _ensemble(n: int, args):
                     f"in {MAX_REJECTED_DRAWS} consecutive draws")
             continue
         rejected = 0
-        yield produced, cfg, coherence_bits
+        for budget in budgets:
+            solution = sdp.solve(sdp.build_problem(cfg, budget), options)
+            yield produced, budget, cfg, coherence_bits, solution
         produced += 1
 
 
@@ -178,9 +194,8 @@ def cmd_figure3(args) -> int:
 def cmd_figure2(args) -> int:
     """Random-ensemble coherence against the error-margin bound surface."""
     n_list = _n_paths(args)
-    budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
+    budgets = _error_budgets(args.error_budget)
     grid = _grid(0.0, args)
-    options = _solver_options(args)
     header = [
         "kind", "n_paths", "sample", "p_e_budget", "p_e_used", "p_f",
         "C", "bound_lhs", "status",
@@ -189,17 +204,14 @@ def cmd_figure2(args) -> int:
     failures = 0
     for n in n_list:
         log_n = float(np.log2(n))
-        for sample, cfg, coherence_bits in _ensemble(n, args):
-            coh = coherence_bits / log_n
-            for pe in budgets:
-                sol = sdp.solve(sdp.build_problem(cfg, pe), options)
-                if sol.status != "optimal":
-                    failures += 1
-                report = duality.check_error_margin_duality(
-                    cfg, disc.outcome_from_solution(sol), coherence_bits)
-                rows.append(["sample", n, sample, pe,
-                             sol.error_used, sol.objective, coh,
-                             report.bound_lhs, sol.status])
+        for sample, pe, cfg, coherence_bits, sol in _sweep(args, n, budgets):
+            if sol.status != "optimal":
+                failures += 1
+            report = duality.check_error_margin_duality(
+                cfg, disc.outcome_from_solution(sol), coherence_bits)
+            rows.append(["sample", n, sample, pe,
+                         sol.error_used, sol.objective, coherence_bits / log_n,
+                         report.bound_lhs, sol.status])
         for pe in budgets:
             for p_f in grid:
                 lhs = duality.error_margin_surface(n, float(pe), float(p_f))
@@ -243,6 +255,8 @@ def _load_instance(path: str):
     if budget.ndim != 0:
         raise ValidationError("field 'error_budget' must be a single number")
     budget = float(budget)
+    if not 0.0 <= budget <= 1.0:
+        raise ValidationError(f"field 'error_budget' must lie in [0, 1], got {budget!r}")
     cfg = quantum.InterferometerConfig(priors, gram_re + 1j * gram_im)
     return cfg, budget
 
@@ -251,7 +265,7 @@ def cmd_solve(args) -> int:
     """Solve one instance file and emit a full JSON report."""
     cfg, budget = _load_instance(args.instance)
     if args.error_budget is not None:
-        budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
+        budgets = _error_budgets(args.error_budget)
         if len(budgets) != 1:
             raise ValidationError(f"solve --error-budget takes one number: {args.error_budget!r}")
         budget = budgets[0]
@@ -296,32 +310,26 @@ def cmd_solve(args) -> int:
 def cmd_scan(args) -> int:
     """Random-ensemble sweep of every relation; violations are fatal."""
     n_list = _n_paths(args)
-    budgets = _parse_list(args.error_budget, "--error-budget", float, "numbers")
-    options = _solver_options(args)
+    budgets = _error_budgets(args.error_budget)
     relation_stats: dict[str, dict] = {}
     iteration_counts: list[int] = []
     statuses: dict[str, int] = {}
-    violations = 0
-    checked = 0
     for n in n_list:
-        for _, cfg, coherence_bits in _ensemble(n, args):
-            for pe in budgets:
-                sol = sdp.solve(sdp.build_problem(cfg, pe), options)
-                statuses[sol.status] = statuses.get(sol.status, 0) + 1
-                iteration_counts.append(sol.iterations)
-                if sol.status != "optimal":
-                    continue
-                outcome = disc.outcome_from_solution(sol)
-                for report in duality.all_checks(cfg, outcome, coherence_bits):
-                    checked += 1
-                    entry = relation_stats.setdefault(
-                        report.relation,
-                        {"min_slack": float("inf"), "violations": 0, "checks": 0})
-                    entry["checks"] += 1
-                    entry["min_slack"] = min(entry["min_slack"], report.slack)
-                    if not report.satisfied:
-                        entry["violations"] += 1
-                        violations += 1
+        for _, _, cfg, coherence_bits, sol in _sweep(args, n, budgets):
+            statuses[sol.status] = statuses.get(sol.status, 0) + 1
+            iteration_counts.append(sol.iterations)
+            if sol.status != "optimal":
+                continue
+            outcome = disc.outcome_from_solution(sol)
+            for report in duality.all_checks(cfg, outcome, coherence_bits):
+                entry = relation_stats.setdefault(
+                    report.relation,
+                    {"min_slack": float("inf"), "violations": 0, "checks": 0})
+                entry["checks"] += 1
+                entry["min_slack"] = min(entry["min_slack"], report.slack)
+                if not report.satisfied:
+                    entry["violations"] += 1
+    violations = sum(entry["violations"] for entry in relation_stats.values())
     payload = {
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
@@ -330,7 +338,7 @@ def cmd_scan(args) -> int:
         "p_e_grid": budgets,
         "min_coherence": args.min_coherence,
         "relations": relation_stats,
-        "total_checks": checked,
+        "total_checks": sum(entry["checks"] for entry in relation_stats.values()),
         "violations_total": violations,
         "solver": {
             "statuses": statuses,

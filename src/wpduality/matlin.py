@@ -39,7 +39,6 @@ __all__ = [
     "NotPsdError",
     "ValidationError",
     "eig_hermitian",
-    "factor_gram",
     "hermitian",
     "lu_solver",
     "numerical_support",
@@ -147,15 +146,6 @@ def support_factor(dec: EigenDecomposition) -> np.ndarray:
     """
     support = numerical_support(dec)
     return np.sqrt(support.eigenvalues)[:, None] * support.eigenvectors.conj().T
-
-
-def factor_gram(g) -> np.ndarray:
-    """Factor a PSD Gram matrix G into state vectors with G = F^H F.
-
-    The :func:`support_factor` of ``psd_spectrum(g)``, so a ``g`` that is not
-    PSD within ``PSD_TOL`` raises :class:`NotPsdError`.
-    """
-    return support_factor(psd_spectrum(g))
 
 
 @functools.cache

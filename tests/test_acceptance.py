@@ -224,11 +224,7 @@ def test_criterion_6_no_violation_suite():
         for pe in budgets:
             solution = sdp.solve(sdp.BlockSdpProblem(gram, pe, n))
             assert solution.status == "optimal", (i, pe)
-            p_f = solution.objective
-            p_e = min(solution.error_used, 1.0 - p_f)
-            outcome = disc.DiscriminationOutcome(
-                1.0 - p_e - p_f, p_e, p_f, "sdp")
-            run_checks(cfg, outcome, coh)
+            run_checks(cfg, disc.outcome_from_solution(solution), coh)
 
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed <= 600.0

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from wpduality import cli, discrimination as disc, matlin, quantum, sdp
+from wpduality import cli, discrimination as disc, duality, matlin, quantum, sdp
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -109,6 +109,24 @@ class TestFigure2:
         assert cli.main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_matches_golden(self, tmp_path):
+        """Labels and counts match the golden file exactly, numbers to 1e-9."""
+        out = tmp_path / "f2.csv"
+        assert cli.main(["figure2", "--n-paths", "2,3", "--ensemble", "3", "--grid", "4",
+                         "--seed", "7", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        golden_header, golden_rows = read_csv(os.path.join(GOLDEN, "figure2_small.csv"))
+        assert header == golden_header
+        assert len(rows) == len(golden_rows)
+        exact = {"kind", "n_paths", "sample", "status"}
+        for row, golden_row in zip(rows, golden_rows):
+            for key, value, expected in zip(header, row, golden_row):
+                if key in exact:
+                    assert value == expected
+                else:
+                    assert float(value) == pytest.approx(float(expected), abs=1e-9,
+                                                         nan_ok=True)
+
     def test_breakdown_rows_carry_last_iterate(self, tmp_path):
         out = tmp_path / "f2.csv"
         rc = cli.main([
@@ -194,19 +212,30 @@ class TestSolve:
         ("error_budget", None),
         ("priors", "ab"),
         ("gram_re", [[1.0, 0.2], [0.2]]),
+        ("error_budget", 1.5),
+        ("error_budget", -0.1),
     ])
-    def test_malformed_field_exit_code(self, tmp_path, field, value):
+    def test_malformed_field_exit_code(self, tmp_path, capsys, field, value):
         payload = {"priors": [0.5, 0.5], "gram_re": [[1.0, 0.2], [0.2, 1.0]]}
         payload[field] = value
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(payload))
         assert cli.main(["solve", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+        assert repr(field) in capsys.readouterr().err
 
     def test_error_budget_takes_one_number(self, tmp_path):
         inst = tmp_path / "inst.json"
         write_instance(inst, [0.5, 0.5], [[1.0, 0.2], [0.2, 1.0]])
         assert cli.main(["solve", str(inst), "--error-budget", "0.1,0.2",
                          "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("value", ["2", "-0.1", "nan"])
+    def test_error_budget_out_of_range_exit_code(self, tmp_path, capsys, value):
+        inst = tmp_path / "inst.json"
+        write_instance(inst, [0.5, 0.5], [[1.0, 0.2], [0.2, 1.0]])
+        assert cli.main(["solve", str(inst), "--error-budget", value,
+                         "--out", str(tmp_path / "r.json")]) == 2
+        assert "--error-budget" in capsys.readouterr().err
 
 
 class TestScan:
@@ -276,10 +305,15 @@ class TestScan:
           for command in ("figure1", "figure2", "figure3") for value in ("0", "-1")],
         ("scan", "--seed", "-1"),
         ("figure2", "--seed", "-1"),
+        *[(command, "--error-budget", value)
+          for command in ("scan", "figure2") for value in ("0,2", "-0.1", "nan")],
     ])
-    def test_bad_flag_value_exit_code(self, tmp_path, capsys, command, flag, value):
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, monkeypatch, command, flag,
+                                      value):
         """An out-of-range value is an input error (exit 2) naming its flag,
-        and no output file is written."""
+        raised before any solve, and no output file is written."""
+        solves = []
+        monkeypatch.setattr(sdp, "solve", lambda *args: solves.append(args))
         out = tmp_path / "out"
         argv = [command, flag, value, "--out", str(out)]
         if command in ("scan", "figure2"):
@@ -289,6 +323,32 @@ class TestScan:
         assert cli.main(argv) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+        assert not solves
+
+    def test_sweep_solves_then_checks_in_order(self, tmp_path, monkeypatch):
+        """Each solve is followed by the checks on its outcome, before the
+        next solve: N by N, config by config, budget by budget."""
+        events = []
+        solve, all_checks = sdp.solve, duality.all_checks
+
+        def recording_solve(problem, *args):
+            events.append(("solve", problem.block_count, problem.error_budget))
+            return solve(problem, *args)
+
+        def recording_checks(*args):
+            events.append(("checks",))
+            return all_checks(*args)
+
+        monkeypatch.setattr(sdp, "solve", recording_solve)
+        monkeypatch.setattr(duality, "all_checks", recording_checks)
+        assert cli.main(["scan", "--n-paths", "2,3", "--ensemble", "2",
+                         "--error-budget", "0,0.1", "--out", str(tmp_path / "s.json")]) == 0
+        expected = []
+        for n in (2, 3):
+            for _ in range(2):
+                for pe in (0.0, 0.1):
+                    expected += [("solve", n, pe), ("checks",)]
+        assert events == expected
 
     @pytest.mark.parametrize("command", ["scan", "figure2"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -117,45 +117,48 @@ class TestIsPsd:
 
 
 class TestFactorGram:
+    """A Gram matrix G is factored into state vectors, G = F^H F, by
+    ``support_factor(psd_spectrum(G))``."""
+
     def test_identity_gives_orthonormal_triple(self):
-        f = matlin.factor_gram(np.eye(3))
+        f = matlin.support_factor(matlin.psd_spectrum(np.eye(3)))
         assert f.shape == (3, 3)
         assert np.allclose(f.conj().T @ f, np.eye(3), atol=1e-12)
 
     def test_all_ones_rank_one(self):
-        f = matlin.factor_gram(np.ones((2, 2)))
+        f = matlin.support_factor(matlin.psd_spectrum(np.ones((2, 2))))
         assert f.shape == (1, 2)
         assert np.allclose(f[:, 0], f[:, 1])
         assert abs(np.linalg.norm(f[:, 0]) - 1.0) < 1e-12
 
     def test_symmetric_gram_reconstruction(self):
         g = symmetric_gram(3, 0.4)
-        f = matlin.factor_gram(g)
+        f = matlin.support_factor(matlin.psd_spectrum(g))
         assert np.abs(f.conj().T @ f - g).max() < 1e-8
 
     def test_roundtrip_on_random_psd(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 9))
             g = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            f = matlin.factor_gram(g)
+            f = matlin.support_factor(matlin.psd_spectrum(g))
             assert np.abs(f.conj().T @ f - g).max() < 1e-8
             ffh = f @ f.conj().T  # orthogonal rows: F = diag(lambda)^(1/2) Q^H
             assert np.abs(ffh - np.diag(np.diag(ffh))).max() < 1e-12
 
     def test_rejects_indefinite(self):
         with pytest.raises(matlin.NotPsdError):
-            matlin.factor_gram(np.diag([1.0, -0.5]))
+            matlin.support_factor(matlin.psd_spectrum(np.diag([1.0, -0.5])))
 
 
 class TestPsdRule:
     @pytest.mark.parametrize("delta,accepted", [(2e-9, False), (5e-10, True)])
     def test_one_boundary(self, delta, accepted):
-        """A configuration, a problem and ``factor_gram`` all check through
-        ``psd_spectrum``, so they accept and reject the same Gram matrices."""
+        """A configuration and a problem both check through ``psd_spectrum``,
+        so they accept and reject the same Gram matrices as it does."""
         gram = np.array([[1.0, 1.0 + delta], [1.0 + delta, 1.0]])  # eigenvalues 2 + delta, -delta
         for check in (lambda: quantum.InterferometerConfig([0.5, 0.5], gram),
                       lambda: sdp.BlockSdpProblem(gram, 0.0, 2),
-                      lambda: matlin.factor_gram(gram)):
+                      lambda: matlin.psd_spectrum(gram)):
             if accepted:
                 check()
             else:

@@ -300,7 +300,7 @@ class TestExtractPovm:
             blocks = solution.blocks
             diagonals = np.stack([np.diag(z_j).real for z_j in blocks], axis=1)
             assert np.abs(stats.joint[:, : cfg.n_paths] - diagonals).max() <= 1e-12
-            f = matlin.factor_gram(problem.gram)
+            f = matlin.support_factor(matlin.psd_spectrum(problem.gram))  # decomposed anew
             f_pinv_h = f / (np.linalg.norm(f, axis=1) ** 2)[:, None]  # F F^H is diagonal
             for op, z_j in zip(povm.operators, blocks, strict=True):
                 reference = f_pinv_h @ z_j @ f_pinv_h.conj().T
