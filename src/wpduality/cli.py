@@ -3,7 +3,8 @@
 Subcommands reproduce the three reference figures as data files, solve
 user-supplied instances, and run seeded random-ensemble scans of every
 duality relation.  ``scan`` and ``figure2`` reduce over ``_sweep``, the one
-seeded-ensemble loop.  Exit codes: 0 all checks satisfied, 1 violation
+seeded-ensemble loop; ``figure1`` and ``figure3`` are ``cmd_curve``, the one
+closed-form curve loop.  Exit codes: 0 all checks satisfied, 1 violation
 found, 2 input or validation error, 3 solver failure (a non-optimal solve
 status).
 """
@@ -162,32 +163,28 @@ def _sweep(args, n: int, budgets: list[float]):
         produced += 1
 
 
-def cmd_figure1(args) -> int:
-    """Coherence vs distinguishability curves for the symmetric family."""
-    n_list = _n_paths(args)
-    grid = _grid(0.0, args)
-    rows = []
-    for n in n_list:
-        log_n = float(np.log2(n))
-        for c in grid:
-            cfg = disc.SymmetricConfig(n, float(c))
-            rows.append([n, float(c), disc.symmetric_error_margin(cfg, 0.0).p_success,
-                         disc.symmetric_coherence(cfg) / log_n])
-    _write_rows(args.out, ["n_paths", "overlap", "D", "C"], rows, args.format)
-    return EXIT_OK
+# The closed-form curve figures: subcommand -> (x column, first x at N paths,
+# family, its outcome (D is p_success), its coherence in bits).
+CURVE_FIGURES = {
+    "figure1": ("overlap", lambda n: 0.0, disc.SymmetricConfig,
+                lambda cfg: disc.symmetric_error_margin(cfg, 0.0), disc.symmetric_coherence),
+    "figure3": ("p", lambda n: 1.0 / n, disc.AsymmetricConfig,
+                disc.asymmetric_usd, disc.asymmetric_coherence),
+}
 
 
-def cmd_figure3(args) -> int:
-    """Coherence vs distinguishability curves for the asymmetric family."""
+def cmd_curve(args) -> int:
+    """Coherence vs distinguishability curves of the closed-form family of
+    ``args.command``: a row per N and grid point x, with the normalized C."""
+    x_name, start, family, outcome, coherence = CURVE_FIGURES[args.command]
     n_list = _n_paths(args)
     rows = []
     for n in n_list:
         log_n = float(np.log2(n))
-        for p in _grid(1.0 / n, args):
-            cfg = disc.AsymmetricConfig(n, float(p))
-            rows.append([n, float(p), disc.asymmetric_usd(cfg).p_success,
-                         disc.asymmetric_coherence(cfg) / log_n])
-    _write_rows(args.out, ["n_paths", "p", "D", "C"], rows, args.format)
+        for x in _grid(start(n), args):
+            cfg = family(n, float(x))
+            rows.append([n, float(x), outcome(cfg).p_success, coherence(cfg) / log_n])
+    _write_rows(args.out, ["n_paths", x_name, "D", "C"], rows, args.format)
     return EXIT_OK
 
 
@@ -207,11 +204,11 @@ def cmd_figure2(args) -> int:
         for sample, pe, cfg, coherence_bits, sol in _sweep(args, n, budgets):
             if sol.status != "optimal":
                 failures += 1
-            report = duality.check_error_margin_duality(
-                cfg, disc.outcome_from_solution(sol), coherence_bits)
+            outcome = disc.outcome_from_solution(sol)
+            lhs = duality.error_margin_surface(n, outcome.p_error, outcome.p_failure)
             rows.append(["sample", n, sample, pe,
                          sol.error_used, sol.objective, coherence_bits / log_n,
-                         report.bound_lhs, sol.status])
+                         lhs, sol.status])
         for pe in budgets:
             for p_f in grid:
                 lhs = duality.error_margin_surface(n, float(pe), float(p_f))
@@ -375,12 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rejection filter: keep configs with C above this")
         p.add_argument("--seed", type=int, default=1234, help="master RNG seed")
 
-    p1 = sub.add_parser("figure1", help="symmetric-family C vs D curves")
-    p1.add_argument("--n-paths", default=DEFAULT_FIGURE_PATHS)
-    p1.add_argument("--grid", type=int, default=201, help="points per curve")
-    add_output(p1, "figure1.csv")
-    p1.set_defaults(func=cmd_figure1)
+    def add_curve(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n-paths", default=DEFAULT_FIGURE_PATHS)
+        p.add_argument("--grid", type=int, default=201, help="points per curve")
+        add_output(p, f"{name}.csv")
+        p.set_defaults(func=cmd_curve)
 
+    add_curve("figure1", "symmetric-family C vs D curves")
     p2 = sub.add_parser("figure2", help="random ensemble vs error-margin bound surface")
     p2.add_argument("--n-paths", default=DEFAULT_FIG2_PATHS)
     p2.add_argument("--grid", type=int, default=51, help="bound-surface grid points")
@@ -390,12 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver(p2)
     add_output(p2, "figure2.csv")
     p2.set_defaults(func=cmd_figure2)
-
-    p3 = sub.add_parser("figure3", help="asymmetric-family C vs D curves")
-    p3.add_argument("--n-paths", default=DEFAULT_FIGURE_PATHS)
-    p3.add_argument("--grid", type=int, default=201, help="points per curve")
-    add_output(p3, "figure3.csv")
-    p3.set_defaults(func=cmd_figure3)
+    add_curve("figure3", "asymmetric-family C vs D curves")
 
     ps = sub.add_parser("solve", help="solve an instance file and report")
     ps.add_argument("instance", help="JSON instance file")

@@ -18,6 +18,7 @@ from .quantum import InterferometerConfig, binary_entropy, coherence_rel_ent
 __all__ = [
     "DualityReport",
     "SLACK_TOL",
+    "ZERO_ERROR_TOL",
     "all_checks",
     "check_error_margin_bound",
     "check_error_margin_duality",
@@ -27,6 +28,8 @@ __all__ = [
 ]
 
 SLACK_TOL = 1e-8
+# Largest P_e of a zero-error outcome, the kind eq. 1 (check_usd_duality) takes
+ZERO_ERROR_TOL = 1e-12
 
 RELATION_USD = "usd-eq1"
 RELATION_MARGIN = "error-margin-eq31"
@@ -107,7 +110,7 @@ def check_usd_duality(
     with nonzero error probability are rejected.  ``coherence_bits`` lets a
     caller pass a precomputed (e.g. closed-form) coherence value.
     """
-    if outcome.p_error > 1e-12:
+    if outcome.p_error > ZERO_ERROR_TOL:
         raise ValidationError(
             f"zero-error duality check got p_error={outcome.p_error}"
         )
@@ -177,7 +180,7 @@ def all_checks(
     if coherence_bits is None:
         coherence_bits = coherence_rel_ent(cfg)
     reports = []
-    if outcome.p_error <= 1e-12:
+    if outcome.p_error <= ZERO_ERROR_TOL:
         reports.append(check_usd_duality(cfg, outcome, coherence_bits))
     reports.append(check_error_margin_bound(cfg, outcome, coherence_bits))
     reports.append(check_error_margin_duality(cfg, outcome, coherence_bits))

@@ -93,19 +93,18 @@ def binary_entropy(q: float) -> float:
 
 
 def _density_entropy(eigenvalues: np.ndarray) -> float:
-    """Entropy in bits of a density matrix with these eigenvalues (descending)."""
-    w = eigenvalues.copy()
-    w[(w >= -1e-10) & (w < 0.0)] = 0.0
-    if w[-1] < 0.0:
-        raise ValidationError(f"not a density matrix: eigenvalue {w[-1]:.3e} < 0")
-    if abs(w.sum() - 1.0) > 1e-8:
-        raise ValidationError(f"not a density matrix: trace {w.sum()!r} != 1")
-    return _entropy_bits(w)
+    """Entropy in bits of a density matrix with these eigenvalues, which
+    :func:`wpduality.matlin.psd_spectrum` has accepted; checks unit trace."""
+    trace = eigenvalues.sum()
+    if abs(trace - 1.0) > 1e-8:
+        raise ValidationError(f"not a density matrix: trace {trace!r} != 1")
+    return _entropy_bits(eigenvalues)
 
 
 def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy of a density matrix, in bits."""
-    return _density_entropy(matlin.eig_hermitian(rho).eigenvalues)
+    """Von Neumann entropy of a density matrix, in bits.  A matrix that is
+    not PSD raises :class:`wpduality.matlin.NotPsdError`."""
+    return _density_entropy(matlin.psd_spectrum(rho).eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,9 @@ def path_entropy(cfg: InterferometerConfig) -> float:
     """Von Neumann entropy S(rho_p) of the path state, in bits.
 
     Equals ``von_neumann_entropy(path_density_matrix(cfg))`` bit for bit,
-    read from the configuration's ``weighted_spectrum``: rho_p = conj(G), and
-    LAPACK's ``eigh`` gives conj(G) exactly the eigenvalues of G.
+    read from the configuration's ``weighted_spectrum``, which the PSD rule
+    has already accepted: rho_p = conj(G), and LAPACK's ``eigh`` gives
+    conj(G) exactly the eigenvalues of G.
     """
     return _density_entropy(cfg.weighted_spectrum.eigenvalues)
 

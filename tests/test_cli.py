@@ -83,6 +83,13 @@ class TestFigure3:
             assert -1e-12 <= (1.0 - d) - c <= 0.02
 
 
+    def test_matches_golden(self, tmp_path):
+        out = tmp_path / "f3.csv"
+        cli.main(["figure3", "--grid", "5", "--n-paths", "2,4,256", "--out", str(out)])
+        assert out.read_bytes() == open(
+            os.path.join(GOLDEN, "figure3_small.csv"), "rb").read()
+
+
 class TestFigure2:
     def test_samples_satisfy_bound(self, tmp_path):
         out = tmp_path / "f2.csv"
@@ -184,6 +191,35 @@ class TestSolve:
         inst = tmp_path / "inst.json"
         write_instance(inst, [0.5, 0.5], [[1.0, 1.001], [1.001, 1.0]])
         assert cli.main(["solve", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+
+    @staticmethod
+    def edge_gram(negative):
+        """A 3-path unit-diagonal Gram matrix with eigenvalues near
+        (1.6, 1.4, -negative) before rescaling to unit diagonal."""
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        g = q @ np.diag([1.6, 1.4 + negative, -negative]) @ q.T
+        d = 1.0 / np.sqrt(np.diag(g))
+        return d[:, None] * g * d[None, :]
+
+    def test_instance_at_the_psd_edge(self, tmp_path):
+        """The Gram matrix passes the PSD rule (lambda_min = -4.8e-10), and
+        so does everything decomposed from it: the report's path entropy
+        takes no second decision on the sign of its eigenvalues."""
+        gram = self.edge_gram(2e-10)
+        assert -1e-9 < np.linalg.eigvalsh(gram)[0] < -4e-10
+        inst = tmp_path / "inst.json"
+        write_instance(inst, [1 / 3] * 3, gram.tolist())
+        out = tmp_path / "report.json"
+        assert cli.main(["solve", str(inst), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["satisfied_all"] is True
+
+    def test_instance_beyond_the_psd_edge(self, tmp_path, capsys):
+        gram = self.edge_gram(3e-9)
+        assert np.linalg.eigvalsh(gram)[0] < -1e-9
+        inst = tmp_path / "inst.json"
+        write_instance(inst, [1 / 3] * 3, gram.tolist())
+        assert cli.main(["solve", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+        assert "matrix is not PSD" in capsys.readouterr().err
 
     def test_missing_field_exit_code(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -27,6 +27,16 @@ class TestZeroErrorDuality:
         with pytest.raises(matlin.ValidationError):
             duality.check_usd_duality(cfg, out)
 
+    def test_one_zero_error_threshold(self):
+        """all_checks includes eq. 1 exactly for the outcomes that
+        check_usd_duality accepts."""
+        cfg, _ = sym_pair(3, 0.4)
+        for p_error, included in ((duality.ZERO_ERROR_TOL, True),
+                                  (2 * duality.ZERO_ERROR_TOL, False)):
+            out = disc.DiscriminationOutcome(0.5 - p_error, p_error, 0.5, "sdp")
+            relations = [r.relation for r in duality.all_checks(cfg, out)]
+            assert ("usd-eq1" in relations) is included
+
     def test_symmetric_slack_shrinks_with_n(self):
         slacks = []
         for n in (2, 4, 16, 256):
@@ -96,9 +106,7 @@ class TestSimplifiedBound:
         family = disc.SymmetricConfig(2, 0.5)
         cfg = disc.symmetric_interferometer(family)
         sol = sdp.solve(sdp.build_problem(cfg, 0.5))
-        out = disc.DiscriminationOutcome(
-            1 - sol.error_used - sol.objective, sol.error_used, sol.objective, "sdp"
-        )
+        out = disc.outcome_from_solution(sol)
         assert out.p_failure == pytest.approx(0.0, abs=1e-6)
         assert duality.check_simplified_bound(cfg, out).satisfied
 

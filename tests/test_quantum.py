@@ -98,6 +98,14 @@ class TestVonNeumannEntropy:
         with pytest.raises(matlin.ValidationError):
             quantum.von_neumann_entropy(np.diag([1.5, -0.5]))
 
+    def test_accepts_what_the_psd_rule_accepts(self):
+        """A negative eigenvalue the PSD rule tolerates contributes nothing;
+        one beyond it raises NotPsdError."""
+        rho = np.diag([0.5, 0.5 + 5e-10, -5e-10])
+        assert quantum.von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(matlin.NotPsdError):
+            quantum.von_neumann_entropy(np.diag([0.5, 0.5 + 5e-9, -5e-9]))
+
 
 class TestConfigValidation:
     def test_rejects_bad_diagonal(self):

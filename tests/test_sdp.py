@@ -195,6 +195,39 @@ class TestSolveUnambiguous:
         assert all(np.abs(b).max() == 0.0 for b in solution.blocks)
 
 
+class TestInvariances:
+    """Permuting the paths (priors and Gram together), diagonal phases
+    G -> D G D* and complex conjugation leave P_f* and the error used
+    unchanged; each transformed solve must agree within the solve tolerance."""
+
+    @staticmethod
+    def transforms(cfg, rng):
+        perm = rng.permutation(cfg.n_paths)
+        phase = np.exp(2j * np.pi * rng.random(cfg.n_paths))
+        return {
+            "permutation": (cfg.priors[perm], cfg.gram[np.ix_(perm, perm)]),
+            "phases": (cfg.priors, phase[:, None] * cfg.gram * phase.conj()[None, :]),
+            "conjugation": (cfg.priors, cfg.gram.conj()),
+        }
+
+    @pytest.mark.parametrize("n,seeds", [(2, 4), (3, 4), (5, 4), (8, 4), (16, 2)])
+    def test_solution_is_invariant(self, n, seeds):
+        tol = sdp.SolverOptions().tolerance
+        for s in range(seeds):
+            cfg = random_config(n, n, 7000 + s)
+            variants = self.transforms(cfg, np.random.default_rng(s))
+            for pe in (0.0, 0.05):
+                base = sdp.solve(sdp.build_problem(cfg, pe))
+                assert base.status == "optimal"
+                for name, (priors, gram) in variants.items():
+                    moved = quantum.InterferometerConfig(priors, gram)
+                    sol = sdp.solve(sdp.build_problem(moved, pe))
+                    where = f"{name} at N = {n}, seed {7000 + s}, P_e = {pe}"
+                    assert sol.status == "optimal", where
+                    assert abs(sol.objective - base.objective) <= tol, where
+                    assert abs(sol.error_used - base.error_used) <= tol, where
+
+
 class TestSolveErrorMargin:
     @pytest.mark.parametrize(
         "n,c,pe",
