@@ -41,15 +41,20 @@ and the corrector's reuses it.  At P_e = 0, b is the m-vector of ones, and
 since each constraint is rank one the Schur matrix is the real m x m matrix
 |q_i^H W_Y q_j|^2 + diag(w_s^2), with W_Y and w_s the scalings of Y and of
 the surpluses (the rank-one technique of DSDP, Benson, Ye & Zhang, SIAM J.
-Optim. 10, 2000).  Either way an iteration hands its Schur matrix to
-``matlin.lu_solver`` once, and both Newton steps (predictor and corrector)
-solve with the one LU factor it takes (below order ``matlin.LU_MIN_ORDER``,
-where refactoring is cheaper, each solve is ``np.linalg.solve``); no
-Cholesky factor of the Schur matrix is needed.  No other solve or inverse
-is taken: the PSD stack's NT scaling comes from one Cholesky factor per
-side and one SVD, and the step lengths are read in the scaled space, where
-the current point is diagonal; the predictor's scaled directions are kept
-for the corrector.
+Optim. 10, 2000).  Either way an iteration factors its Schur matrix once
+with ``matlin.lu_solver``, and both Newton steps (predictor and corrector)
+solve with that one LU factor (below order ``matlin.LU_MIN_ORDER``, where
+refactoring is cheaper, each solve is ``np.linalg.solve``); no Cholesky
+factor of the Schur matrix is needed.  At P_e > 0 the r^2 x r^2 arrays live
+in a workspace the core makes once per solve: the scalings' Gram product is
+written into one buffer and T, in Fortran order, into another, which
+``lu_solver`` factors in place, so an iteration allocates no array of the
+Schur matrix's size.  No other solve or inverse is taken: the PSD stack's
+NT scaling comes from one Cholesky factor per side and one SVD, and the
+step lengths are read in the scaled space, where the current point is
+diagonal; the predictor's scaled directions are kept for the corrector.
+Each piece of an iteration's arithmetic is done once: W rd W serves both
+Newton steps, and the scaling keeps the conjugate transposes it reuses.
 
 Each problem keeps its variables in two parts, so each phase of an iteration
 is one batched numpy call per part: a stack of equal-size PSD blocks, a
@@ -213,20 +218,26 @@ class _NtScaling:
     point rw^H Z rw = rw^{-1} X rw^{-H} is the diagonal matrix diag(lam).
     With Cholesky factors X = lx lx^H, Z = lz lz^H and the SVD
     lz^H lx = U diag(lam) V^H, rw = lx V diag(lam)^{-1/2} and
-    rw^{-1} = diag(lam)^{-1/2} U^H lz^H, so no factor is inverted.
+    rw^{-1} = diag(lam)^{-1/2} U^H lz^H, so no factor is inverted.  The
+    conjugate transposes and the outer product lam^{-1/2} lam^{-1/2}^T that
+    the iteration uses more than once are formed here, once.
     """
 
-    __slots__ = ("rw", "rw_inv", "w", "lam")
+    __slots__ = ("rw", "rw_h", "rw_inv", "rw_inv_h", "w", "lam", "inv_root_outer", "steps")
 
     def __init__(self, x: np.ndarray, z: np.ndarray):
         lx = np.linalg.cholesky(x)
-        lz = np.linalg.cholesky(z)
-        u, sig, vh = np.linalg.svd(_ct(lz) @ lx)
+        lz_h = _ct(np.linalg.cholesky(z))
+        u, sig, vh = np.linalg.svd(lz_h @ lx)
         inv_root = 1.0 / np.sqrt(sig)
         self.rw = (lx @ _ct(vh)) * inv_root[:, None, :]
-        self.rw_inv = inv_root[:, :, None] * (_ct(u) @ _ct(lz))
-        self.w = self.rw @ _ct(self.rw)
+        self.rw_h = _ct(self.rw)
+        self.rw_inv = inv_root[:, :, None] * (_ct(u) @ lz_h)
+        self.rw_inv_h = _ct(self.rw_inv)
+        self.w = self.rw @ self.rw_h
         self.lam = sig
+        self.inv_root_outer = inv_root[:, :, None] * inv_root[:, None, :]
+        self.steps = np.empty((2,) + x.shape, dtype=np.complex128)  # max_steps' stack
 
     def wdw(self, d: np.ndarray) -> np.ndarray:
         return self.w @ d @ self.w
@@ -234,19 +245,24 @@ class _NtScaling:
     def scaled(self, d: np.ndarray, primal: bool) -> np.ndarray:
         """R D R^H with R = rw^{-1} (primal) or rw^H (dual), which maps the
         point X (or Z) to diag(lam)."""
-        r = self.rw_inv if primal else _ct(self.rw)
-        return r @ d @ _ct(r)
+        if primal:
+            return self.rw_inv @ d @ self.rw_inv_h
+        return self.rw_h @ d @ self.rw
 
     def max_steps(self, du: np.ndarray, dv: np.ndarray) -> tuple[float, float]:
         """Largest alpha_p and alpha_d keeping every block of X + alpha_p D_x
         and Z + alpha_d D_z PSD, from the scaled directions du and dv.
 
         X + alpha D is PSD exactly when I + alpha lam^{-1/2} du lam^{-1/2}
-        is; both sides' blocks go through one ``eigvalsh`` call.
+        is; both sides' blocks go through one ``eigvalsh`` call, on a stack
+        that both Newton steps of an iteration write.
         """
-        inv_root = 1.0 / np.sqrt(self.lam)
-        a = np.stack([du, dv]) * (inv_root[:, :, None] * inv_root[:, None, :])
-        lowest = np.linalg.eigvalsh(_herm(a))[..., 0].min(axis=1)
+        a = self.steps
+        np.multiply(du, self.inv_root_outer, out=a[0])
+        np.multiply(dv, self.inv_root_outer, out=a[1])
+        np.add(a, _ct(a), out=a)  # _herm(a), in place
+        a /= 2.0
+        lowest = np.linalg.eigvalsh(a)[..., 0].min(axis=1)
         return _step_to_boundary(lowest[0]), _step_to_boundary(lowest[1])
 
     def corrector(self, du: np.ndarray, dv: np.ndarray, sigma_mu: float) -> np.ndarray:
@@ -258,7 +274,7 @@ class _NtScaling:
         idx = np.arange(num.shape[1])
         num[:, idx, idx] += 2.0 * sigma_mu - 2.0 * self.lam ** 2
         num /= self.lam[:, :, None] + self.lam[:, None, :]
-        return self.rw @ num @ _ct(self.rw)
+        return self.rw @ num @ self.rw_h
 
 
 class _OrthantScaling:
@@ -333,12 +349,19 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 
 class _MarginCore:
-    """P_e > 0 problem on the support of G: N full blocks + PSD slack + scalar."""
+    """P_e > 0 problem on the support of G: N full blocks + PSD slack + scalar.
+
+    Its Schur workspace, two r^2 x r^2 buffers, serves every iteration of
+    the solve: the Gram product of the scalings, and T in Fortran order,
+    which ``lu_solver`` factors in place.
+    """
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray, pe: float):
         self.b = np.append(gt.reshape(-1), pe)
         self.r = gt.shape[0]
         self.n_var = qs.shape[0]
+        self.gram_buf = np.empty((self.r ** 2, self.r ** 2), dtype=np.complex128)
+        self.t_buf = np.empty_like(self.gram_buf, order="F")
         self.betas = np.eye(self.r) - qs[:, :, None] * qs.conj()[:, None, :]
         # Cost -I on the variable blocks and 0 on the slacks.
         cost = np.zeros((self.n_var + 1, self.r, self.r), dtype=np.complex128)
@@ -376,12 +399,13 @@ class _MarginCore:
         r, n = self.r, self.n_var
         ws = scalings[0].w  # variable blocks + PSD slack
         flat = ws.reshape(n + 1, r * r)
-        t_mat = (flat.T @ flat.conj()).reshape(r, r, r, r).transpose(0, 2, 1, 3)
-        t_mat = t_mat.reshape(r * r, r * r)
+        gram = np.matmul(flat.T, flat.conj(), out=self.gram_buf)
+        # T[(a, c), (b, d)] = gram[(a, b), (c, d)], written in Fortran order
+        self.t_buf.T.reshape(r, r, r, r)[...] = gram.reshape(r, r, r, r).transpose(1, 3, 0, 2)
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
         kappa = scalings[1].w[0] ** 2 + np.vdot(self.betas, wbw).real
-        t_solve = matlin.lu_solver(t_mat)
+        t_solve = matlin.lu_solver(self.t_buf, overwrite_a=True)
         t_inv_d = denom = None  # set by the first call, which solves for T^-1 d too
 
         def solve_fn(rhs):
@@ -435,8 +459,9 @@ class _UsdCore:
         return matlin.lu_solver(v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w ** 2))
 
 
-def _newton_step(core, scalings, rp, rd, rc, schur_solve):
-    filt = [rc_b - sc.wdw(rd_b) for sc, rd_b, rc_b in zip(scalings, rd, rc)]
+def _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve):
+    """One Newton direction (dx, dy, dz); ``wrdw`` is W rd W, part by part."""
+    filt = [rc_b - wrdw_b for wrdw_b, rc_b in zip(wrdw, rc)]
     dy = schur_solve(rp - core.apply_a(filt))
     adj = core.apply_a_adjoint(dy)
     dz = [rd_b - adj_b for rd_b, adj_b in zip(rd, adj)]
@@ -478,18 +503,19 @@ def _run_ipm(core, options: SolverOptions):
             iterations = iteration - 1
             break
 
-        # The step stays inline so that its Schur-sized temporaries live into the
-        # next iteration: freed at a helper's return, glibc trims and re-faults
-        # them, which made N = 16 solves on an r^2 x r^2 Schur matrix about 20%
-        # slower.
+        # The Schur-sized arrays live in the core's workspace for the whole
+        # solve: glibc hands a freed block that large back to the system, and
+        # faulting one in again every iteration cost about 270 minor page
+        # faults (1 MB) per iteration at N = 16, P_e > 0.
         mu = gap / nu
         try:  # an NT scaling, the Schur factorization or a solve can fail
             scalings = _scalings(x, z)
             schur_solve = core.schur_solver(scalings)
+            wrdw = [sc.wdw(rd_b) for sc, rd_b in zip(scalings, rd)]  # both steps use it
 
             # Predictor: pure Newton step toward the boundary.
             rc_aff = [-x_b for x_b in x]
-            dx_a, _, dz_a = _newton_step(core, scalings, rp, rd, rc_aff, schur_solve)
+            dx_a, _, dz_a = _newton_step(core, scalings, rp, rd, wrdw, rc_aff, schur_solve)
             du_a = [sc.scaled(d, True) for sc, d in zip(scalings, dx_a)]
             dv_a = [sc.scaled(d, False) for sc, d in zip(scalings, dz_a)]
             alpha_p, alpha_d = _step_lengths(scalings, du_a, dv_a)
@@ -501,7 +527,7 @@ def _run_ipm(core, options: SolverOptions):
 
             # Corrector with the predictor's second-order term.
             rc = [sc.corrector(du, dv, sigma * mu) for sc, du, dv in zip(scalings, du_a, dv_a)]
-            dx, dy, dz = _newton_step(core, scalings, rp, rd, rc, schur_solve)
+            dx, dy, dz = _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve)
             alpha_p, alpha_d = _step_lengths(
                 scalings, [sc.scaled(d, True) for sc, d in zip(scalings, dx)],
                 [sc.scaled(d, False) for sc, d in zip(scalings, dz)], STEP_FRACTION)

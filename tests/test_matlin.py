@@ -179,6 +179,12 @@ def random_system(rng, n, dtype, columns):
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def read_only_fortran(a):
+    f = np.asfortranarray(a)
+    f.setflags(write=False)
+    return f
+
+
 class TestLuSolver:
     """Bitwise agreement holds with OpenBLAS on one thread, as conftest sets.
     Every order is factored here, not only those from ``LU_MIN_ORDER`` on."""
@@ -200,6 +206,59 @@ class TestLuSolver:
                 assert x.flags.c_contiguous
                 assert np.array_equal(x, np.linalg.solve(a, b))
             assert np.array_equal(b, b_before)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_overwrite_gives_the_same_bits(self, rng, n, dtype):
+        a, b = random_system(rng, n, dtype, 2)
+        expected = matlin.lu_solver(a)(b)
+        assert np.array_equal(expected, np.linalg.solve(a, b))
+        x = matlin.lu_solver(np.asfortranarray(a), overwrite_a=True)(b)
+        assert x.flags.c_contiguous
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_overwrite_leaves_the_factors_in_place(self, rng, dtype):
+        if not matlin._lapack():
+            pytest.skip("without the LAPACK symbols lu_solver factors nothing itself")
+        n = 32
+        a, b = random_system(rng, n, dtype, 0)
+        lu = np.asfortranarray(a)
+        solve = matlin.lu_solver(lu, overwrite_a=True)
+        # L (unit lower) times U is a row permutation of a: P a = L U
+        product = (np.tril(lu, -1) + np.eye(n)) @ np.triu(lu)
+        distance = np.abs(product[:, None, :] - a[None, :, :]).max(axis=2)
+        rows = distance.argmin(axis=1)
+        assert sorted(rows) == list(range(n))
+        assert distance.min(axis=1).max() <= 1e-12 * np.abs(a).max() * n
+        assert np.array_equal(solve(b), np.linalg.solve(a, b))  # read from the factors in lu
+
+    @pytest.mark.parametrize("make", [
+        np.ascontiguousarray,
+        lambda a: np.asfortranarray(a.astype(np.complex64)),  # lu_solver factors no complex64
+        lambda a: np.asfortranarray(a.astype(a.dtype.newbyteorder())),
+        read_only_fortran,
+    ], ids=["c-order", "complex64", "byteswapped", "read-only"])
+    def test_overwrite_copies_what_it_cannot_factor_in_place(self, rng, make):
+        a, b = random_system(rng, 32, np.complex128, 0)
+        given = make(a)
+        before = given.copy()
+        x = matlin.lu_solver(given, overwrite_a=True)(b)
+        assert np.array_equal(given, before)
+        assert np.array_equal(x, np.linalg.solve(given, b))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_non_native_byte_order_solves_alike(self, rng, dtype):
+        # getrf reads native numbers: a byte-swapped matrix goes to np.linalg.solve
+        a, b = random_system(rng, 32, dtype, 0)
+        swapped = a.astype(a.dtype.newbyteorder())
+        assert np.array_equal(matlin.lu_solver(swapped)(b), np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_overwrite_of_a_singular_matrix_raises(self, dtype):
+        a = np.asfortranarray(np.outer(np.arange(1.0, 33.0), np.ones(32)).astype(dtype))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            matlin.lu_solver(a, overwrite_a=True)(np.ones(32, dtype=dtype))
 
     def test_finds_getrf_and_getrs_in_bundled_openblas(self):
         # Without the symbols every other test here covers only the fallback.

@@ -27,10 +27,10 @@ def record_lu_solver(monkeypatch):
     factors = []
     lu_solver = matlin.lu_solver
 
-    def recording(a):
+    def recording(a, overwrite_a=False):
         entry = [np.shape(a), 0]
         factors.append(entry)
-        solve = lu_solver(a)
+        solve = lu_solver(a, overwrite_a=overwrite_a)
 
         def counted(b):
             entry[1] += 1
@@ -527,6 +527,36 @@ class TestSchurSystem:
             assert solution.objective == expected.objective
             assert solution.gap == expected.gap
             assert np.array_equal(solution.slack_psd, expected.slack_psd)
+
+    def test_schur_workspace_is_reused_within_a_solve_only(self, monkeypatch):
+        """At P_e > 0 every Schur factorization of a solve is of one
+        F-ordered buffer, factored in place; another solve of the same
+        problem gets a buffer of its own and ends bit for bit alike."""
+        monkeypatch.setattr(matlin, "LU_MIN_ORDER", 1)  # factor even the small Schur matrices
+        lu_solver = matlin.lu_solver
+        matrices = []  # the references keep each solve's buffer alive
+
+        def recording(a, overwrite_a=False):
+            assert overwrite_a
+            matrices.append(a)
+            return lu_solver(a, overwrite_a=overwrite_a)
+
+        monkeypatch.setattr(matlin, "lu_solver", recording)
+        problem = sdp.build_problem(random_config(12, 12, 0), 0.05)
+        buffers, solutions = [], []
+        for _ in range(2):
+            matrices.clear()
+            solutions.append(sdp.solve(problem))
+            assert solutions[-1].status == "optimal"
+            assert len(matrices) == solutions[-1].iterations
+            assert all(a.flags.f_contiguous and a.shape == (144, 144) for a in matrices)
+            assert {a.ctypes.data for a in matrices} == {matrices[0].ctypes.data}
+            buffers.append(matrices[0])
+        assert not np.shares_memory(*buffers)
+        first, second = solutions
+        assert second.iterations == first.iterations
+        assert second.objective == first.objective and second.gap == first.gap
+        assert np.array_equal(second.reduced, first.reduced)
 
     def test_usd_schur_matrix_is_m_by_m(self, monkeypatch):
         """At P_e = 0 each Schur factorization is of the m x m matrix of the m

@@ -10,8 +10,12 @@ the three solves, the median wall time of reading the which-way measurement
 back from each (``extract_povm`` plus ``povm_channel_statistics``), their
 iteration counts, and, per iteration of one more, untimed solve of the seed-0
 instance, the ``numpy.linalg`` calls (``eigvalsh``/``svd``/``cholesky``/
-``solve``) and the Schur work: the ``matlin.lu_solver`` factorizations and
-the solves made with them.  It then runs each instance as one
+``solve``) and the Schur work (the ``matlin.lu_solver`` factorizations and
+the solves made with them), and the minor page faults per iteration of the
+seed-0 solve (``ru_minflt`` of ``getrusage``, read around it), which runs
+in a fresh process after one warm-up solve of the same instance: a larger
+solve earlier in one process raises glibc's trim threshold, and later
+solves then fault in no fresh pages at all.  It then runs each instance as one
 ``duality solve`` request (``cli.main``, on an instance file) and prints
 the median wall time of the request minus its ``sdp.solve``, and the
 ``matlin.eig_hermitian`` calls of the seed-0 request.  First, before the
@@ -19,8 +23,9 @@ table, it solves the symmetric family at N = 256, overlap 0.5, P_e = 0 once
 and prints the solve's wall time, the read-back's wall time and
 ``tracemalloc`` peak, and the process's peak RSS after both, which is then
 theirs (the table's solves need less).  So a change in the
-number of dispatched calls, in the cost of the which-way measurement or in
-the fixed cost of a request shows without a benchmark run.
+number of dispatched calls, in the memory an iteration takes from the system
+anew, in the cost of the which-way measurement or in the fixed cost of a
+request shows without a benchmark run.
 BLAS is pinned to one thread before numpy loads, and ``wpduality`` is
 imported from the ``src/`` directory next to this script, so a copy of the
 script in another checkout measures that checkout.  One untimed solve runs
@@ -29,7 +34,9 @@ first, so lazy set-up is not timed.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import resource
 import sys
@@ -70,9 +77,9 @@ def calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
             return originals[name](*args, **kwargs)
         return wrapped
 
-    def counting_lu_solver(a):
+    def counting_lu_solver(a, **kwargs):  # overwrite_a, where lu_solver takes it
         counts["factor"] += 1
-        solve = lu_solver(a)
+        solve = lu_solver(a, **kwargs)
 
         def counted(b):
             counts["lu solve"] += 1
@@ -92,11 +99,21 @@ def calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
     return "/".join(per[name] for name in COUNTED) + f" {per['factor']}/{per['lu solve']}"
 
 
-def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
+def faults_per_iteration(n: int, budget: float) -> float:
+    """Minor page faults per iteration of the seed-0 solve, after one warm-up
+    solve of it.  Run it in a fresh process (see ``measure``)."""
+    problem = sdp.build_problem(random_config(n, n, SEEDS[0]), budget)
+    sdp.solve(problem)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    iterations = sdp.solve(problem).iterations
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / max(iterations, 1)
+
+
+def measure(n: int, budget: float) -> tuple[float, float, list[int], str, float]:
     """Median wall times in ms of the solve and of the POVM read-back, and
-    the iteration counts over the seeds, and the linalg calls and Schur work
-    per iteration at seed 0.  The POVM median is over the optimal solves (NaN
-    if none)."""
+    the iteration counts over the seeds, and the linalg calls, Schur work and
+    minor page faults per iteration at seed 0.  The POVM median is over the
+    optimal solves (NaN if none)."""
     times, povm_times, iterations = [], [], []
     for seed in SEEDS:
         cfg = random_config(n, n, seed)
@@ -113,8 +130,12 @@ def measure(n: int, budget: float) -> tuple[float, float, list[int], str]:
         sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
         povm_times.append(1e3 * (time.perf_counter() - start))
     calls = calls_per_iteration(sdp.build_problem(random_config(n, n, SEEDS[0]), budget))
+    # A spawned child is a fresh interpreter, whose heap no earlier solve has shaped.
+    with concurrent.futures.ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        faults = pool.submit(faults_per_iteration, n, budget).result()
     povm_ms = float(np.median(povm_times)) if povm_times else float("nan")
-    return float(np.median(times)), povm_ms, iterations, calls
+    return float(np.median(times)), povm_ms, iterations, calls, faults
 
 
 def large_readback() -> str:
@@ -188,10 +209,12 @@ def main() -> int:
     print("povm ms: extract_povm + povm_channel_statistics on the solve's result")
     print("calls/iter: numpy.linalg " + "/".join(COUNTED)
           + ", then matlin.lu_solver factorizations/solves, per iteration, seed 0")
+    print("faults/iter: minor page faults per iteration of the seed-0 solve, in a fresh process")
     print("request ms: median of one `duality solve` request minus its sdp.solve;"
           " eig: its matlin.eig_hermitian calls, seed 0")
     header = "  N" + "".join(
-        f" | {f'P_e = {b:g}':>10}: median ms, povm ms, iterations, calls/iter, request ms, eig"
+        f" | {f'P_e = {b:g}':>10}: median ms, povm ms, iterations, calls/iter, faults/iter,"
+        " request ms, eig"
         for b in BUDGETS)
     print(header)
     print("-" * len(header))
@@ -200,10 +223,10 @@ def main() -> int:
         for n in SIZES:
             cells = []
             for budget in BUDGETS:
-                ms, povm_ms, iterations, calls = measure(n, budget)
+                ms, povm_ms, iterations, calls, faults = measure(n, budget)
                 request_ms, eig_calls = request_cost(n, budget, workdir)
                 cells.append(f" | {ms:22.1f}, {povm_ms:7.1f}, {'/'.join(map(str, iterations)):>10},"
-                             f" {calls:>14}, {request_ms:10.2f}, {eig_calls:3d}")
+                             f" {calls:>14}, {faults:11.0f}, {request_ms:10.2f}, {eig_calls:3d}")
             print(f"{n:3d}" + "".join(cells), flush=True)
     return 0
 
