@@ -23,10 +23,10 @@ more, the returned function is ``np.linalg.solve``.  Inside an
 interior-point iteration, refactoring a small matrix for the second solve
 costs less than the three foreign calls of a factor and two solves: on a
 2-core VM, N = 16 solves at P_e = 0 (a real Schur matrix of order 16) ran
-about 2 % slower through them, and the factor wins from order 32.  With
-``overwrite_a`` a caller that owns an F-contiguous matrix lets ``getrf``
-factor it in place; the SDP solve does so with a Schur workspace it reuses
-every iteration.  Otherwise the matrix is copied, and left as it was.
+about 2 % slower through them, and the factor wins from order 32.  A
+writable, F-contiguous matrix is factored in place, so the SDP solve hands
+over a Schur workspace it refills every iteration without a copy; any other
+matrix is copied, and left as it was.
 """
 
 from __future__ import annotations
@@ -181,15 +181,15 @@ def _address(x: np.ndarray):
     return ctypes.byref(ctypes.c_char.from_buffer(x.T))  # x.T is C-contiguous
 
 
-def lu_solver(a, overwrite_a: bool = False):
+def lu_solver(a):
     """Factor square ``a`` once; return ``solve(b)``, which solves a x = b.
 
     Matrices of order below ``LU_MIN_ORDER`` are not factored here: each
-    solve is ``np.linalg.solve``.  ``a`` is left as it is unless
-    ``overwrite_a`` is true and ``a`` is an F-contiguous, writable array of
-    the factored dtype: then ``getrf`` factors it in place, ``a`` holds the
-    factors afterwards, and the solves read them there, so ``a`` must not
-    change until the last one.  Otherwise the factor is taken in a copy.
+    solve is ``np.linalg.solve``.  A writable, F-contiguous ``a`` of a
+    factored dtype is factored in place: it holds the factors afterwards,
+    and the solves read them there, so it must not change until the last
+    one (pass a copy to keep the matrix).  Any other ``a`` is left as it is,
+    and the factor is taken in a copy.
 
     ``b`` is a vector or a matrix of columns, with the dtype of ``a`` (or one
     that casts to it within its kind); the result is a new C-contiguous array
@@ -204,7 +204,7 @@ def lu_solver(a, overwrite_a: bool = False):
     if routines is None or a.shape != (n, n) or n < LU_MIN_ORDER:  # also stacked, non-square
         return lambda b: np.linalg.solve(a, b)
     getrf, getrs = routines
-    in_place = overwrite_a and a.flags.f_contiguous and a.flags.writeable
+    in_place = a.flags.f_contiguous and a.flags.writeable
     lu = a if in_place else np.array(a, order="F")  # getrf overwrites it with the factors
     pivots = np.empty(n, dtype=np.int64)
     # The closure holds the pointers, and each pointer keeps its object alive.

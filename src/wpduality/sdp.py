@@ -223,7 +223,7 @@ class _NtScaling:
     the iteration uses more than once are formed here, once.
     """
 
-    __slots__ = ("rw", "rw_h", "rw_inv", "rw_inv_h", "w", "lam", "inv_root_outer", "steps")
+    __slots__ = ("rw", "rw_h", "rw_inv", "rw_inv_h", "w", "lam", "inv_root_outer")
 
     def __init__(self, x: np.ndarray, z: np.ndarray):
         lx = np.linalg.cholesky(x)
@@ -237,7 +237,6 @@ class _NtScaling:
         self.w = self.rw @ self.rw_h
         self.lam = sig
         self.inv_root_outer = inv_root[:, :, None] * inv_root[:, None, :]
-        self.steps = np.empty((2,) + x.shape, dtype=np.complex128)  # max_steps' stack
 
     def wdw(self, d: np.ndarray) -> np.ndarray:
         return self.w @ d @ self.w
@@ -254,15 +253,10 @@ class _NtScaling:
         and Z + alpha_d D_z PSD, from the scaled directions du and dv.
 
         X + alpha D is PSD exactly when I + alpha lam^{-1/2} du lam^{-1/2}
-        is; both sides' blocks go through one ``eigvalsh`` call, on a stack
-        that both Newton steps of an iteration write.
+        is; both sides' blocks go through one ``eigvalsh`` call.
         """
-        a = self.steps
-        np.multiply(du, self.inv_root_outer, out=a[0])
-        np.multiply(dv, self.inv_root_outer, out=a[1])
-        np.add(a, _ct(a), out=a)  # _herm(a), in place
-        a /= 2.0
-        lowest = np.linalg.eigvalsh(a)[..., 0].min(axis=1)
+        a = np.stack([du, dv]) * self.inv_root_outer
+        lowest = np.linalg.eigvalsh(_herm(a))[..., 0].min(axis=1)
         return _step_to_boundary(lowest[0]), _step_to_boundary(lowest[1])
 
     def corrector(self, du: np.ndarray, dv: np.ndarray, sigma_mu: float) -> np.ndarray:
@@ -405,7 +399,7 @@ class _MarginCore:
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
         kappa = scalings[1].w[0] ** 2 + np.vdot(self.betas, wbw).real
-        t_solve = matlin.lu_solver(self.t_buf, overwrite_a=True)
+        t_solve = matlin.lu_solver(self.t_buf)  # factored in place
         t_inv_d = denom = None  # set by the first call, which solves for T^-1 d too
 
         def solve_fn(rhs):

@@ -209,22 +209,22 @@ class TestLuSolver:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     @pytest.mark.parametrize("n", [32, 64])
-    def test_overwrite_gives_the_same_bits(self, rng, n, dtype):
+    def test_fortran_input_gives_the_same_bits(self, rng, n, dtype):
         a, b = random_system(rng, n, dtype, 2)
-        expected = matlin.lu_solver(a)(b)
+        expected = matlin.lu_solver(a)(b)  # C order: factored in a copy
         assert np.array_equal(expected, np.linalg.solve(a, b))
-        x = matlin.lu_solver(np.asfortranarray(a), overwrite_a=True)(b)
+        x = matlin.lu_solver(np.asfortranarray(a))(b)
         assert x.flags.c_contiguous
         assert np.array_equal(x, expected)
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-    def test_overwrite_leaves_the_factors_in_place(self, rng, dtype):
+    def test_fortran_input_holds_the_factors(self, rng, dtype):
         if not matlin._lapack():
             pytest.skip("without the LAPACK symbols lu_solver factors nothing itself")
         n = 32
         a, b = random_system(rng, n, dtype, 0)
         lu = np.asfortranarray(a)
-        solve = matlin.lu_solver(lu, overwrite_a=True)
+        solve = matlin.lu_solver(lu)
         # L (unit lower) times U is a row permutation of a: P a = L U
         product = (np.tril(lu, -1) + np.eye(n)) @ np.triu(lu)
         distance = np.abs(product[:, None, :] - a[None, :, :]).max(axis=2)
@@ -239,11 +239,11 @@ class TestLuSolver:
         lambda a: np.asfortranarray(a.astype(a.dtype.newbyteorder())),
         read_only_fortran,
     ], ids=["c-order", "complex64", "byteswapped", "read-only"])
-    def test_overwrite_copies_what_it_cannot_factor_in_place(self, rng, make):
+    def test_copies_what_it_cannot_factor_in_place(self, rng, make):
         a, b = random_system(rng, 32, np.complex128, 0)
         given = make(a)
         before = given.copy()
-        x = matlin.lu_solver(given, overwrite_a=True)(b)
+        x = matlin.lu_solver(given)(b)
         assert np.array_equal(given, before)
         assert np.array_equal(x, np.linalg.solve(given, b))
 
@@ -255,10 +255,10 @@ class TestLuSolver:
         assert np.array_equal(matlin.lu_solver(swapped)(b), np.linalg.solve(a, b))
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-    def test_overwrite_of_a_singular_matrix_raises(self, dtype):
+    def test_singular_fortran_matrix_raises(self, dtype):
         a = np.asfortranarray(np.outer(np.arange(1.0, 33.0), np.ones(32)).astype(dtype))
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            matlin.lu_solver(a, overwrite_a=True)(np.ones(32, dtype=dtype))
+            matlin.lu_solver(a)(np.ones(32, dtype=dtype))
 
     def test_finds_getrf_and_getrs_in_bundled_openblas(self):
         # Without the symbols every other test here covers only the fallback.

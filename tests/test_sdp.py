@@ -27,10 +27,10 @@ def record_lu_solver(monkeypatch):
     factors = []
     lu_solver = matlin.lu_solver
 
-    def recording(a, overwrite_a=False):
+    def recording(a):
         entry = [np.shape(a), 0]
         factors.append(entry)
-        solve = lu_solver(a, overwrite_a=overwrite_a)
+        solve = lu_solver(a)
 
         def counted(b):
             entry[1] += 1
@@ -536,10 +536,9 @@ class TestSchurSystem:
         lu_solver = matlin.lu_solver
         matrices = []  # the references keep each solve's buffer alive
 
-        def recording(a, overwrite_a=False):
-            assert overwrite_a
+        def recording(a):
             matrices.append(a)
-            return lu_solver(a, overwrite_a=overwrite_a)
+            return lu_solver(a)
 
         monkeypatch.setattr(matlin, "lu_solver", recording)
         problem = sdp.build_problem(random_config(12, 12, 0), 0.05)
@@ -549,7 +548,8 @@ class TestSchurSystem:
             solutions.append(sdp.solve(problem))
             assert solutions[-1].status == "optimal"
             assert len(matrices) == solutions[-1].iterations
-            assert all(a.flags.f_contiguous and a.shape == (144, 144) for a in matrices)
+            assert all(a.flags.f_contiguous and a.flags.writeable and a.shape == (144, 144)
+                       for a in matrices)
             assert {a.ctypes.data for a in matrices} == {matrices[0].ctypes.data}
             buffers.append(matrices[0])
         assert not np.shares_memory(*buffers)
