@@ -67,13 +67,10 @@ def _write_rows(path: str, header: list[str], rows: list[list], fmt: str) -> Non
         for row in rows:
             lines.append(",".join(
                 _fmt(v) if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        _write_text(path, "\n".join(lines) + "\n")
     else:
-        records = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "rows": records},
-            indent=2, sort_keys=True) + "\n"
-    _write_text(path, text)
+        _write_json(path, {"schema_version": SCHEMA_VERSION,
+                           "rows": [dict(zip(header, row)) for row in rows]})
     log.info("wrote %d rows to %s", len(rows), path)
 
 
@@ -207,7 +204,7 @@ def cmd_figure2(args) -> int:
             outcome = disc.outcome_from_solution(sol)
             lhs = duality.error_margin_surface(n, outcome.p_error, outcome.p_failure)
             rows.append(["sample", n, sample, pe,
-                         sol.error_used, sol.objective, coherence_bits / log_n,
+                         outcome.p_error, outcome.p_failure, coherence_bits / log_n,
                          lhs, sol.status])
         for pe in budgets:
             for p_f in grid:
@@ -218,7 +215,17 @@ def cmd_figure2(args) -> int:
     return EXIT_SOLVER if failures else EXIT_OK
 
 
+def _holds_bool(value) -> bool:
+    """True if a JSON value is, or nests in lists, a ``true`` or ``false``."""
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _numeric_field(raw: dict, key: str, default=None) -> np.ndarray:
+    # numpy would read JSON true/false as 1/0
+    if _holds_bool(raw.get(key)):
+        raise ValidationError(f"instance field {key!r} must hold numbers, not true/false")
     try:
         value = np.asarray(raw.get(key, default), dtype=float)
     except (TypeError, ValueError) as exc:  # strings, ragged nesting, objects
@@ -339,8 +346,8 @@ def cmd_scan(args) -> int:
         "violations_total": violations,
         "solver": {
             "statuses": statuses,
-            "iterations_mean": float(np.mean(iteration_counts)) if iteration_counts else 0.0,
-            "iterations_max": int(max(iteration_counts)) if iteration_counts else 0,
+            "iterations_mean": float(np.mean(iteration_counts)),
+            "iterations_max": max(iteration_counts),
         },
     }
     _write_json(args.out, payload)
@@ -430,10 +437,22 @@ def _configure_logging() -> None:
         level=level, format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
+def _check_out(path: str | None) -> None:
+    """Reject an ``--out`` that names a directory or lies in a missing one,
+    before any work: ``scan`` and ``figure2`` write only after every solve."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValidationError(f"--out {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"--out {path!r} is in a directory that does not exist")
+
+
 def main(argv=None) -> int:
     _configure_logging()
     args = _parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ValidationError as exc:
         log.error("%s", exc)

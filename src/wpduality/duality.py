@@ -127,17 +127,13 @@ def check_error_margin_bound(
 ) -> DualityReport:
     """Entropic which-way bound with both failure and error probabilities.
 
-    (1-P_f) H2(P_e/(1-P_f)) + P_e log2(N-1) + P_f log2 N >= C_rel-ent(rho_p).
-    At P_e = 0 this reduces to P_f log2 N >= C_rel-ent.
+    (1-P_f) H2(P_e/(1-P_f)) + P_e log2(N-1) + P_f log2 N >= C_rel-ent(rho_p),
+    in bits: eq. 32's bound (:func:`check_error_margin_duality`) times
+    log2 N.  At P_e = 0 this reduces to P_f log2 N >= C_rel-ent.
     """
-    n = cfg.n_paths
-    log_n = float(np.log2(n))
+    log_n = float(np.log2(cfg.n_paths))
     rhs = _coherence(cfg, coherence_bits)
-    lhs = (
-        _conditional_error_entropy(outcome.p_error, outcome.p_failure)
-        + outcome.p_error * float(np.log2(n - 1))
-        + outcome.p_failure * log_n
-    )
+    lhs = _normalized_margin_lhs(cfg.n_paths, outcome.p_error, outcome.p_failure) * log_n
     return _report(rhs / log_n, outcome.p_success, lhs, rhs, lhs - rhs,
                    RELATION_MARGIN)
 

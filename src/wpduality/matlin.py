@@ -83,10 +83,7 @@ def hermitian(entries) -> np.ndarray:
         raise ValidationError(
             f"matrix is not Hermitian: max |A - A^H| = {asym:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
-    out = (a + a.conj().T) / 2.0
-    idx = np.arange(a.shape[0])
-    out[idx, idx] = out[idx, idx].real
-    return out
+    return (a + a.conj().T) / 2.0
 
 
 @dataclass(frozen=True)

@@ -591,7 +591,7 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
         support=support,
         reduced=reduced,
         objective=objective,
-        slack_psd=_herm(slack),
+        slack_psd=slack,
         error_used=error_used,
         status=status,
         iterations=iterations,

@@ -250,6 +250,9 @@ class TestSolve:
         ("gram_re", [[1.0, 0.2], [0.2]]),
         ("error_budget", 1.5),
         ("error_budget", -0.1),
+        ("error_budget", True),
+        ("priors", [True, False]),
+        ("gram_re", [[True, 0.2], [0.2, 1.0]]),
     ])
     def test_malformed_field_exit_code(self, tmp_path, capsys, field, value):
         payload = {"priors": [0.5, 0.5], "gram_re": [[1.0, 0.2], [0.2, 1.0]]}
@@ -359,6 +362,18 @@ class TestScan:
         assert cli.main(argv) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+        assert not solves
+
+    @pytest.mark.parametrize("command", ["scan", "figure2"])
+    @pytest.mark.parametrize("bad_out", ["missing/out", "."])
+    def test_bad_out_exit_code(self, tmp_path, capsys, monkeypatch, command, bad_out):
+        """An --out in a missing directory, or naming a directory, is an input
+        error (exit 2) naming --out, found before any solve."""
+        solves = []
+        monkeypatch.setattr(sdp, "solve", lambda *args: solves.append(args))
+        assert cli.main([command, "--n-paths", "2", "--ensemble", "1",
+                         "--out", str(tmp_path / bad_out)]) == 2
+        assert "--out" in capsys.readouterr().err
         assert not solves
 
     def test_sweep_solves_then_checks_in_order(self, tmp_path, monkeypatch):

@@ -1,0 +1,71 @@
+"""The solve-set gate, ``compare`` in ``tools/solve_set.py``, on synthetic
+records: each rule its docstring states, on both sides of its threshold."""
+
+import importlib.util
+import os
+import sys
+from unittest import mock
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "solve_set.py")
+
+
+@pytest.fixture(scope="module")
+def solve_set():
+    # The tool pins the BLAS environment and puts its src/ on sys.path when
+    # loaded; keep both as they were for the rest of the test process.
+    spec = importlib.util.spec_from_file_location("solve_set", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(module)
+    return module
+
+
+def record(seed=0, tol=1e-7, status="optimal", iterations=9, **values):
+    rec = {"n": 2, "dim": 2, "seed": seed, "budget": 0.0, "tol": tol,
+           "status": status, "iterations": iterations,
+           "objective": repr(0.5), "dual_objective": repr(0.5), "gap": repr(1e-9),
+           "error_used": repr(0.0), "min_slack": repr(1e-12)}
+    rec.update(values)
+    return rec
+
+
+def tight_set(optimal):
+    """100 tol-1e-12 records, the first ``optimal`` of them optimal."""
+    return [record(seed=s, tol=1e-12, status="optimal" if s < optimal else "breakdown")
+            for s in range(100)]
+
+
+def test_identical_records_pass(solve_set):
+    records = [record(seed=s) for s in range(3)] + tight_set(50)
+    assert solve_set.compare(records, [dict(r) for r in records]) == []
+
+
+@pytest.mark.parametrize("change", [{"status": "breakdown"}, {"iterations": 10}])
+def test_checked_tolerance_status_or_iterations_change_fails(solve_set, change):
+    assert solve_set.compare([record(**change)], [record()])
+
+
+@pytest.mark.parametrize("move,fails", [(2e-9, True), (5e-10, False)])
+def test_value_move_threshold(solve_set, move, fails):
+    moved = record(objective=repr(0.5 + move))
+    assert bool(solve_set.compare([moved], [record()])) == fails
+
+
+@pytest.mark.parametrize("old,new,fails", [
+    ("nan", "nan", False), ("nan", repr(0.5), True), (repr(0.5), "nan", True),
+])
+def test_nan_values(solve_set, old, new, fails):
+    assert bool(solve_set.compare([record(gap=new)], [record(gap=old)])) == fails
+
+
+@pytest.mark.parametrize("drop,fails", [(21, True), (20, False)])
+def test_tight_tolerance_optimal_count_drop(solve_set, drop, fails):
+    assert bool(solve_set.compare(tight_set(60 - drop), tight_set(60))) == fails
+
+
+def test_record_missing_from_baseline_fails(solve_set):
+    failures = solve_set.compare([record(seed=0), record(seed=1)], [record(seed=0)])
+    assert len(failures) == 1 and "not in the baseline" in failures[0]
