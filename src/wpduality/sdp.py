@@ -65,7 +65,11 @@ orthant's NT scaling and step lengths have closed forms (the "linear blocks"
 of SDPT3, Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999), so an
 iteration factors only the PSD stack: two Cholesky factors, one SVD, and one
 ``eigvalsh`` per Newton step on the primal and dual scaled directions
-together.
+together.  A step length needs only each side's smallest eigenvalue, so from
+``GERSHGORIN_MIN_BLOCKS`` blocks on that call solves only the blocks whose
+Gershgorin bound does not rule them out (Gershgorin, 1931), and returns the
+same minimum bit for bit: at P_e > 0 on an N = 48, rank-4 Gram about a
+quarter of the blocks, at N = 16 about 70 %.
 
 A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 ``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
@@ -107,6 +111,15 @@ log = logging.getLogger("wpduality.sdp")
 
 RANGE_TOL = 1e-6  # residual below which e_j counts as lying in range(G)
 STEP_FRACTION = 0.98  # share of the distance to the cone boundary per step
+# Step lengths eigensolve only the blocks that can bind (``_lowest_eigenvalues``)
+# from this many blocks a side on.  Below it the Gershgorin pass, about 20 us
+# of numpy calls, costs about what the eigensolves it saves do: per call, on
+# stacks recorded from P_e = 0.05 solves (2-core VM, BLAS on one thread),
+# 7 blocks of order 6 took 58-63 us unfiltered and 68-74 us filtered, 9 of
+# order 8 110-119 and 109-114 us, 10 of order 9 155-181 and 138-141 us, and
+# the 49 blocks of order 4 of an N = 48, rank-4 Gram 197-199 and 94 us.
+GERSHGORIN_MIN_BLOCKS = 10
+GERSHGORIN_MARGIN = 1e-8  # pruning margin, relative to the largest absolute row sum
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -150,12 +163,20 @@ class BlockSdpProblem:
     spectrum: matlin.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, decomposition):
+        # A bool passes the number checks below: True would mean budget 1.0, or 1 block.
+        budget, count = self.error_budget, self.block_count
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
+            raise ValidationError(f"error budget must be a real number, got {budget!r}")
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValidationError(f"block_count must be an integer, got {count!r}")
         g = matlin.hermitian(self.gram)
-        if g.shape[0] != self.block_count:
+        if g.shape[0] != count:
             raise ValidationError("block_count must match the Gram dimension")
         spectrum = matlin.psd_spectrum(g) if decomposition is None else decomposition
-        if not 0.0 <= self.error_budget <= 1.0:
-            raise ValidationError(f"error budget {self.error_budget} outside [0, 1]")
+        if not 0.0 <= budget <= 1.0:
+            raise ValidationError(f"error budget {budget} outside [0, 1]")
+        object.__setattr__(self, "error_budget", float(budget))
+        object.__setattr__(self, "block_count", int(count))
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "spectrum", spectrum)
         self.gram.setflags(write=False)
@@ -253,10 +274,11 @@ class _NtScaling:
         and Z + alpha_d D_z PSD, from the scaled directions du and dv.
 
         X + alpha D is PSD exactly when I + alpha lam^{-1/2} du lam^{-1/2}
-        is; both sides' blocks go through one ``eigvalsh`` call.
+        is, so each side's step comes from the smallest eigenvalue over its
+        blocks (``_lowest_eigenvalues``); both sides' blocks go through one
+        ``eigvalsh`` call.
         """
-        a = np.stack([du, dv]) * self.inv_root_outer
-        lowest = np.linalg.eigvalsh(_herm(a))[..., 0].min(axis=1)
+        lowest = _lowest_eigenvalues(_herm(np.stack([du, dv]) * self.inv_root_outer))
         return _step_to_boundary(lowest[0]), _step_to_boundary(lowest[1])
 
     def corrector(self, du: np.ndarray, dv: np.ndarray, sigma_mu: float) -> np.ndarray:
@@ -301,6 +323,36 @@ class _OrthantScaling:
 def _scalings(x, z):
     """The scalings of the PSD stack and of the orthant part."""
     return [_NtScaling(x[0], z[0]), _OrthantScaling(x[1], z[1])]
+
+
+def _lowest_eigenvalues(h: np.ndarray) -> tuple[float, float]:
+    """The smallest eigenvalue over each side's blocks of the Hermitian stack
+    h, shape (2, k, d, d), bitwise equal to
+    ``np.linalg.eigvalsh(h)[..., 0].min(axis=1)``.
+
+    From ``GERSHGORIN_MIN_BLOCKS`` blocks a side on, only the blocks that can
+    hold their side's minimum are eigensolved.  A block's Gershgorin bound
+    min_i (h_ii - sum_{j != i} |h_ij|) lies below its smallest eigenvalue,
+    and the side's smallest diagonal entry lies above the side's minimum; a
+    block whose bound exceeds that entry by more than ``GERSHGORIN_MARGIN``
+    times the side's largest absolute row sum (which bounds ||h||_2), far
+    above the eigensolver's backward error, cannot hold it.  ``eigvalsh``
+    solves each matrix of a stack on its own, so the kept blocks' values are
+    those of the full call.  A NaN compares False and keeps its block and
+    every block of its side, so NaN and inf reach ``eigvalsh`` as they do
+    unfiltered.
+    """
+    if h.shape[1] < GERSHGORIN_MIN_BLOCKS:
+        return np.linalg.eigvalsh(h)[..., 0].min(axis=1)
+    diag = h.real.diagonal(axis1=-2, axis2=-1)
+    rows = np.abs(h) @ np.ones(h.shape[-1])  # absolute row sums, (2, k, d)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which keeps its blocks
+        lower = (diag + np.abs(diag) - rows).min(axis=-1)
+        upper = diag.min(axis=(1, 2)) + GERSHGORIN_MARGIN * rows.max(axis=(1, 2))
+    keep = ~(lower > upper[:, None])
+    lowest = np.linalg.eigvalsh(h[keep])[:, 0]
+    primal = np.count_nonzero(keep[0])
+    return lowest[:primal].min(), lowest[primal:].min()
 
 
 def _step_to_boundary(lowest: float) -> float:

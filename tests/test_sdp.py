@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,27 @@ class TestBuildProblem:
         cfg = sym_config(2, 0.1)
         with pytest.raises(matlin.ValidationError):
             sdp.build_problem(cfg, 1.5)
+
+    @pytest.mark.parametrize("gram,budget,count", [
+        (random_config(3, 3, 1).weighted_gram, True, 3),  # would solve at budget 1.0
+        (random_config(3, 3, 1).weighted_gram, np.True_, 3),
+        (random_config(3, 3, 1).weighted_gram, "0.05", 3),
+        (random_config(3, 3, 1).weighted_gram, 0.05 + 0j, 3),
+        (random_config(3, 3, 1).weighted_gram, 0.05, 3.0),
+        (random_config(3, 3, 1).weighted_gram, 0.05, np.float64(3.0)),
+        ([[1.0]], 0.05, True),
+    ], ids=["true", "np-true", "str", "complex", "float-count", "np-float-count",
+            "true-count"])
+    def test_rejects_non_number_budget_and_count(self, gram, budget, count):
+        with pytest.raises(matlin.ValidationError):
+            sdp.BlockSdpProblem(gram, budget, count)
+
+    def test_stores_a_float_budget_and_an_int_count(self):
+        problem = sdp.BlockSdpProblem(random_config(3, 3, 1).weighted_gram,
+                                      np.float32(0.25), np.int64(3))
+        assert type(problem.error_budget) is float and problem.error_budget == 0.25
+        assert type(problem.block_count) is int and problem.block_count == 3
+        assert type(sdp.BlockSdpProblem(np.eye(2), 0, 2).error_budget) is float
 
     @pytest.mark.parametrize("pe", [0.0, 0.05])
     def test_one_decomposition_per_solve(self, monkeypatch, pe):
@@ -632,62 +654,170 @@ class TestStackedBlocks:
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("primal", [True, False])
     def test_max_step_is_the_minimum_over_blocks(self, d, primal):
-        rng = np.random.default_rng(d)
-        k = 5
+        """On stacks below and above the Gershgorin block-count rule."""
+        for k in (5, sdp.GERSHGORIN_MIN_BLOCKS + 2):
+            rng = np.random.default_rng(d)
 
-        def psd_stack(shift):
-            m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
-            return m @ sdp._ct(m) + shift * np.eye(d)
+            def psd_stack(shift):
+                m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+                return m @ sdp._ct(m) + shift * np.eye(d)
 
-        x, z = psd_stack(0.5), psd_stack(0.5)
-        scaling = sdp._NtScaling(x, z)
+            x, z = psd_stack(0.5), psd_stack(0.5)
+            scaling = sdp._NtScaling(x, z)
 
-        def max_step(sc, d):  # the other side's direction is zero, its step infinite
-            scaled, zero = sc.scaled(d, primal), np.zeros_like(d)
-            steps = sc.max_steps(*((scaled, zero) if primal else (zero, scaled)))
-            assert steps[primal] == np.inf
-            return steps[not primal]
+            def max_step(sc, d):  # the other side's direction is zero, its step infinite
+                scaled, zero = sc.scaled(d, primal), np.zeros_like(d)
+                steps = sc.max_steps(*((scaled, zero) if primal else (zero, scaled)))
+                assert steps[primal] == np.inf
+                return steps[not primal]
 
-        assert max_step(scaling, psd_stack(0.0)) == np.inf
+            assert max_step(scaling, psd_stack(0.0)) == np.inf
 
-        for limiting in range(k):
-            direction = -psd_stack(0.1)  # every block leaves the cone ...
-            direction[limiting] *= 100.0  # ... and this one first
-            steps = [max_step(sdp._NtScaling(x[j:j + 1], z[j:j + 1]), direction[j:j + 1])
-                     for j in range(k)]
-            assert int(np.argmin(steps)) == limiting
-            assert max_step(scaling, direction) == min(steps)
+            for limiting in range(k):
+                direction = -psd_stack(0.1)  # every block leaves the cone ...
+                direction[limiting] *= 1e4  # ... and this one first
+                steps = [max_step(sdp._NtScaling(x[j:j + 1], z[j:j + 1]), direction[j:j + 1])
+                         for j in range(k)]
+                assert int(np.argmin(steps)) == limiting
+                assert max_step(scaling, direction) == min(steps)
 
     @pytest.mark.parametrize("lam_min", [0.3, 1e-9])
     @pytest.mark.parametrize("primal", [True, False])
     def test_max_step_reaches_the_cone_boundary(self, lam_min, primal):
         """Oracle on the point itself: X + 0.999 alpha D stays PSD and
-        X + 1.001 alpha D does not (Z for the dual side)."""
-        rng = np.random.default_rng(11)
-        k, d = 4, 5
+        X + 1.001 alpha D does not (Z for the dual side), on stacks below
+        and above the Gershgorin block-count rule."""
+        d = 5
+        for k in (4, sdp.GERSHGORIN_MIN_BLOCKS + 2):
+            rng = np.random.default_rng(11)
 
-        def psd_stack():
-            m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
-            q = np.linalg.qr(m)[0]
-            spectrum = np.concatenate([np.full((k, 1), lam_min),
-                                       rng.uniform(0.5, 2.0, (k, d - 1))], axis=1)
-            return sdp._herm((q * spectrum[:, None, :]) @ sdp._ct(q))
+            def psd_stack():
+                m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+                q = np.linalg.qr(m)[0]
+                spectrum = np.concatenate([np.full((k, 1), lam_min),
+                                           rng.uniform(0.5, 2.0, (k, d - 1))], axis=1)
+                return sdp._herm((q * spectrum[:, None, :]) @ sdp._ct(q))
 
-        def hermitian_stack():
-            return sdp._herm(rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))
+            def hermitian_stack():
+                return sdp._herm(rng.standard_normal((k, d, d))
+                                 + 1j * rng.standard_normal((k, d, d)))
 
-        x, z = psd_stack(), psd_stack()
-        point = x if primal else z
-        scaling = sdp._NtScaling(x, z)
-        for _ in range(3):
-            # the direction under test, and another one on the other side
-            direction, other = hermitian_stack(), hermitian_stack()
-            dx, dz = (direction, other) if primal else (other, direction)
-            steps = scaling.max_steps(scaling.scaled(dx, True), scaling.scaled(dz, False))
-            alpha = steps[not primal]
-            assert 0.0 < alpha < np.inf
-            assert np.linalg.eigvalsh(point + 0.999 * alpha * direction).min() >= 0.0
-            assert np.linalg.eigvalsh(point + 1.001 * alpha * direction).min() < 0.0
+            x, z = psd_stack(), psd_stack()
+            point = x if primal else z
+            scaling = sdp._NtScaling(x, z)
+            for _ in range(3):
+                # the direction under test, and another one on the other side
+                direction, other = hermitian_stack(), hermitian_stack()
+                dx, dz = (direction, other) if primal else (other, direction)
+                steps = scaling.max_steps(scaling.scaled(dx, True), scaling.scaled(dz, False))
+                alpha = steps[not primal]
+                assert 0.0 < alpha < np.inf
+                assert np.linalg.eigvalsh(point + 0.999 * alpha * direction).min() >= 0.0
+                assert np.linalg.eigvalsh(point + 1.001 * alpha * direction).min() < 0.0
+
+    @pytest.mark.parametrize("k", [sdp.GERSHGORIN_MIN_BLOCKS - 1, sdp.GERSHGORIN_MIN_BLOCKS,
+                                   sdp.GERSHGORIN_MIN_BLOCKS + 1, 49])
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_lowest_eigenvalues_match_the_unfiltered_call(self, monkeypatch, k, d):
+        """Bit for bit what one eigvalsh call on the whole stack gives, in one
+        eigvalsh call, on random stacks: blocks spread out along the
+        diagonal, which the Gershgorin pass prunes, repeated blocks (ties),
+        blocks dominated by their off-diagonal entries with norm 1e9, and
+        scales 1e-9 and 1e9.  Below the block-count rule every block is
+        eigensolved."""
+        rng = np.random.default_rng(100 * k + d)
+        eigvalsh = np.linalg.eigvalsh
+        solved = []  # matrices per eigvalsh call
+
+        def counting_eigvalsh(a):
+            solved.append(int(np.prod(a.shape[:-2])))
+            return eigvalsh(a)
+
+        def hermitian(*shape):
+            return sdp._herm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        def spread(*shape):  # shifted blocks, Gershgorin radii about 0.4
+            shifts = rng.uniform(-3.0, 3.0, shape[:2] + (1, 1))
+            return shifts * np.eye(d) + 0.3 / d * hermitian(*shape)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        off_diagonal = 1.0 - np.eye(d)
+        for _ in range(10):
+            stacks = [
+                spread(2, k, d, d),
+                spread(2, 2, d, d)[:, rng.integers(0, 2, k)],  # every block one of two
+                1e9 / d * hermitian(2, k, d, d) * off_diagonal + spread(2, k, d, d),
+                1e-9 * spread(2, k, d, d),
+                1e9 * spread(2, k, d, d),
+            ]
+            for h in stacks:
+                calls = len(solved)
+                got = sdp._lowest_eigenvalues(h)
+                assert len(solved) == calls + 1
+                want = eigvalsh(h)[..., 0].min(axis=1)
+                assert [repr(float(v)) for v in got] == [repr(float(v)) for v in want]
+        if k < sdp.GERSHGORIN_MIN_BLOCKS:
+            assert set(solved) == {2 * k}
+        else:
+            assert sum(solved) < 0.8 * 2 * k * len(solved)  # the spread stacks prune
+
+    @pytest.mark.parametrize("k", [3, sdp.GERSHGORIN_MIN_BLOCKS + 2])
+    def test_lowest_eigenvalues_of_non_finite_stacks(self, k):
+        """A NaN or inf entry, in the block the Gershgorin pass would prune
+        first, ends as in the unfiltered call, with no warning added: a NaN
+        minimum, or LinAlgError, on the same entries."""
+        rng = np.random.default_rng(4)
+        d = 4
+        noise = rng.standard_normal((2, k, d, d)) + 1j * rng.standard_normal((2, k, d, d))
+        h = sdp._herm(rng.uniform(-3.0, 3.0, (2, k, 1, 1)) * np.eye(d) + 0.3 * noise)
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for side in (0, 1):
+                highest = int(np.argmax(h[side].real.diagonal(axis1=-2, axis2=-1).min(axis=-1)))
+                for (i, j), value in [((0, 2), np.nan), ((1, 1), np.nan), ((0, 2), np.inf),
+                                      ((3, 3), np.inf), ((3, 3), -np.inf)]:
+                    bad = h.copy()
+                    bad[side, highest, i, j] = bad[side, highest, j, i] = value
+                    try:
+                        want = np.linalg.eigvalsh(bad)[..., 0].min(axis=1)
+                    except np.linalg.LinAlgError:
+                        with pytest.raises(np.linalg.LinAlgError):
+                            sdp._lowest_eigenvalues(bad)
+                        outcomes.add("raised")
+                        continue
+                    got = sdp._lowest_eigenvalues(bad)
+                    assert [repr(float(v)) for v in got] == [repr(float(v)) for v in want]
+                    outcomes.add("nan" if np.isnan(want[side]) else "number")
+        assert outcomes == {"raised", "nan"}
+
+    @pytest.mark.parametrize("n,rank,seeds,budgets", [
+        (48, 4, range(4), (0.05, 0.2)),
+        (16, 16, range(2), (0.05,)),
+    ], ids=["n48-rank4", "n16"])
+    def test_filtered_solves_match_unfiltered(self, monkeypatch, n, rank, seeds, budgets):
+        """Solves whose stacks reach the Gershgorin pass end as they do with
+        every block eigensolved: status, iterations and the repr of the
+        objective, gap and error used."""
+        eigvalsh = np.linalg.eigvalsh
+        solved = []
+
+        def counting_eigvalsh(a):
+            solved.append(int(np.prod(a.shape[:-2])))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        problems = [sdp.build_problem(random_config(n, rank, seed), budget)
+                    for seed in seeds for budget in budgets]
+        filtered = [sdp.solve(problem) for problem in problems]
+        assert max(solved) <= 2 * (n + 1) and sum(solved) < 2 * (n + 1) * len(solved)
+        monkeypatch.setattr(sdp, "GERSHGORIN_MIN_BLOCKS", 10 ** 9)  # every block eigensolved
+        for problem, expected in zip(problems, filtered):
+            solution = sdp.solve(problem)
+            assert solution.status == expected.status == "optimal"
+            assert solution.iterations == expected.iterations
+            for name in ("objective", "gap", "error_used"):
+                assert repr(getattr(solution, name)) == repr(getattr(expected, name))
 
     @pytest.mark.parametrize("smallest", [0.3, 1e-9])
     def test_orthant_scaling_closed_form(self, smallest):

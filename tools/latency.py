@@ -10,22 +10,24 @@ the three solves, the median wall time of reading the which-way measurement
 back from each (``extract_povm`` plus ``povm_channel_statistics``), their
 iteration counts, and, per iteration of one more, untimed solve of the seed-0
 instance, the ``numpy.linalg`` calls (``eigvalsh``/``svd``/``cholesky``/
-``solve``) and the Schur work (the ``matlin.lu_solver`` factorizations and
-the solves made with them), and the minor page faults per iteration of the
-seed-0 solve (``ru_minflt`` of ``getrusage``, read around it), which runs
-in a fresh process after one warm-up solve of the same instance: a larger
-solve earlier in one process raises glibc's trim threshold, and later
-solves then fault in no fresh pages at all.  It then runs each instance as one
-``duality solve`` request (``cli.main``, on an instance file) and prints
-the median wall time of the request minus its ``sdp.solve``, and the
-``matlin.eig_hermitian`` calls of the seed-0 request.  First, before the
-table, it solves the symmetric family at N = 256, overlap 0.5, P_e = 0 once
-and prints the solve's wall time, the read-back's wall time and
-``tracemalloc`` peak, and the process's peak RSS after both, which is then
-theirs (the table's solves need less).  So a change in the
-number of dispatched calls, in the memory an iteration takes from the system
-anew, in the cost of the which-way measurement or in the fixed cost of a
-request shows without a benchmark run.
+``solve``), the Schur work (the ``matlin.lu_solver`` factorizations and
+the solves made with them) and the matrices the ``eigvalsh`` calls solve
+(the sum of each call's stacked leading dimensions), and the minor page
+faults per iteration of the seed-0 solve (``ru_minflt`` of ``getrusage``,
+read around it), which runs in a fresh process after one warm-up solve of
+the same instance: a larger solve earlier in one process raises glibc's trim
+threshold, and later solves then fault in no fresh pages at all.  It then
+runs each instance as one ``duality solve`` request (``cli.main``, on an
+instance file) and prints the median wall time of the request minus its
+``sdp.solve``, and the ``matlin.eig_hermitian`` calls of the seed-0
+request.  First, before the table, it solves the symmetric family at
+N = 256, overlap 0.5, P_e = 0 once and prints the solve's wall time, the
+read-back's wall time and ``tracemalloc`` peak, and the process's peak RSS
+after both, which is then theirs (the table's solves need less).  So a
+change in the number of dispatched calls or of eigensolved blocks, in the
+memory an iteration takes from the system anew, in the cost of the
+which-way measurement or in the fixed cost of a request shows without a
+benchmark run.
 BLAS is pinned to one thread before numpy loads, and ``wpduality`` is
 imported from the ``src/`` directory next to this script, so a copy of the
 script in another checkout measures that checkout.  One untimed solve runs
@@ -65,15 +67,17 @@ COUNTED = ("eigvalsh", "svd", "cholesky", "solve")  # numpy.linalg functions
 
 def calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
     """Calls of each ``COUNTED`` function, then ``matlin.lu_solver``
-    factorizations and the solves with them, per iteration of one solve:
-    "a/b/c/d f/s"."""
-    counts = dict.fromkeys(COUNTED + ("factor", "lu solve"), 0)
+    factorizations and the solves with them, then the matrices ``eigvalsh``
+    solved, per iteration of one solve: "a/b/c/d f/s m"."""
+    counts = dict.fromkeys(COUNTED + ("factor", "lu solve", "eig matrices"), 0)
     originals = {name: getattr(np.linalg, name) for name in COUNTED}
     lu_solver = matlin.lu_solver
 
     def counting(name):
         def wrapped(*args, **kwargs):
             counts[name] += 1
+            if name == "eigvalsh":
+                counts["eig matrices"] += int(np.prod(np.shape(args[0])[:-2]))
             return originals[name](*args, **kwargs)
         return wrapped
 
@@ -96,7 +100,8 @@ def calls_per_iteration(problem: sdp.BlockSdpProblem) -> str:
             setattr(np.linalg, name, func)
         matlin.lu_solver = lu_solver
     per = {name: f"{count / max(iterations, 1):g}" for name, count in counts.items()}
-    return "/".join(per[name] for name in COUNTED) + f" {per['factor']}/{per['lu solve']}"
+    return ("/".join(per[name] for name in COUNTED)
+            + f" {per['factor']}/{per['lu solve']} {per['eig matrices']}")
 
 
 def faults_per_iteration(n: int, budget: float) -> float:
@@ -208,7 +213,8 @@ def main() -> int:
     print(large_readback(), flush=True)
     print("povm ms: extract_povm + povm_channel_statistics on the solve's result")
     print("calls/iter: numpy.linalg " + "/".join(COUNTED)
-          + ", then matlin.lu_solver factorizations/solves, per iteration, seed 0")
+          + ", then matlin.lu_solver factorizations/solves, then the matrices eigvalsh"
+          " solved, per iteration, seed 0")
     print("faults/iter: minor page faults per iteration of the seed-0 solve, in a fresh process")
     print("request ms: median of one `duality solve` request minus its sdp.solve;"
           " eig: its matlin.eig_hermitian calls, seed 0")
@@ -226,7 +232,7 @@ def main() -> int:
                 ms, povm_ms, iterations, calls, faults = measure(n, budget)
                 request_ms, eig_calls = request_cost(n, budget, workdir)
                 cells.append(f" | {ms:22.1f}, {povm_ms:7.1f}, {'/'.join(map(str, iterations)):>10},"
-                             f" {calls:>14}, {faults:11.0f}, {request_ms:10.2f}, {eig_calls:3d}")
+                             f" {calls:>22}, {faults:11.0f}, {request_ms:10.2f}, {eig_calls:3d}")
             print(f"{n:3d}" + "".join(cells), flush=True)
     return 0
 
