@@ -117,11 +117,15 @@ def asymmetric_interferometer(cfg: AsymmetricConfig) -> InterferometerConfig:
 def usd_failure_lambda_min(cfg: InterferometerConfig) -> DiscriminationOutcome:
     """Zero-error failure probability 1 - lambda_min of the detector Gram matrix.
 
-    Exact for equal-overlap (symmetric) detector states and for N = 2; for
-    other overlap patterns it is only an upper bound on the optimal failure
-    probability, so this routine insists on its stated regime: uniform priors
-    and a Gram matrix of full rank by :func:`wpduality.matlin.numerical_support`.
-    Reads the configuration's ``gram_spectrum``.
+    Exact, with uniform priors, for every full-rank circulant Gram matrix:
+    the detector states are then symmetric (a unitary cyclic shift maps each
+    to the next), and 1 - lambda_min is the optimum of Chefles & Barnett,
+    Phys. Lett. A 250, 223 (1998).  Equal-overlap states are one such case,
+    and so is N = 2 up to a phase of one state.  For other overlap patterns
+    it is only an upper bound on the optimal failure probability, so this
+    routine insists on its stated regime: uniform priors and a Gram matrix
+    of full rank by :func:`wpduality.matlin.numerical_support`.  Reads the
+    configuration's ``gram_spectrum``.
     """
     n = cfg.n_paths
     if np.abs(cfg.priors - 1.0 / n).max() > 1e-10:

@@ -65,7 +65,12 @@ orthant's NT scaling and step lengths have closed forms (the "linear blocks"
 of SDPT3, Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999), so an
 iteration factors only the PSD stack: two Cholesky factors, one SVD, and one
 ``eigvalsh`` per Newton step on the primal and dual scaled directions
-together.  A step length needs only each side's smallest eigenvalue, so from
+together.  The two sides of the PSD stack live in one (2, k, d, d) stack
+throughout: the point [X, Z], whose two Cholesky factors are one call, each
+Newton step's directions [D_x, D_z], and their scaled directions, both
+sides' in two batched matmuls that the step lengths and the corrector read
+as they are.  Every operation and operand is that of one side at a time,
+so the stacking changes no bit of a solve.  A step length needs only each side's smallest eigenvalue, so from
 ``GERSHGORIN_MIN_BLOCKS`` blocks on that call solves only the blocks whose
 Gershgorin bound does not rule them out (Gershgorin, 1931), and returns the
 same minimum bit for bit: at P_e > 0 on an N = 48, rank-4 Gram about a
@@ -86,6 +91,7 @@ diagonals off the reduced variables, so the read-back decomposes nothing.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import InitVar, dataclass, field
 
@@ -135,9 +141,10 @@ class SolverOptions:
 
     def __post_init__(self):
         # A bool passes the number checks below: True would mean tol 1.0, or 1 iteration.
-        if isinstance(self.tolerance, (bool, np.bool_)) or not (
-                np.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        tolerance = self.tolerance
+        if isinstance(tolerance, bool) or not (
+                isinstance(tolerance, numbers.Real) and 0.0 < tolerance < math.inf):
+            raise ValidationError(f"tolerance must be a finite real number > 0, got {tolerance!r}")
         iterations = self.max_iterations
         if isinstance(iterations, bool) or not (
                 isinstance(iterations, numbers.Integral) and iterations >= 1):
@@ -240,89 +247,96 @@ class _NtScaling:
     With Cholesky factors X = lx lx^H, Z = lz lz^H and the SVD
     lz^H lx = U diag(lam) V^H, rw = lx V diag(lam)^{-1/2} and
     rw^{-1} = diag(lam)^{-1/2} U^H lz^H, so no factor is inverted.  The
-    conjugate transposes and the outer product lam^{-1/2} lam^{-1/2}^T that
-    the iteration uses more than once are formed here, once.
+    factors are held stacked by side, ``left`` = [rw^{-1}, rw^H] and
+    ``right`` = [rw^{-H}, rw], each (2, k, d, d), so both sides' scaled
+    directions are two batched matmuls.  They and the outer product
+    lam^{-1/2} lam^{-1/2}^T, which the iteration uses more than once, are
+    formed here, once.
+
+    The point, a pair of directions and a pair of scaled directions are
+    each one complex (2, k, d, d) stack: [X, Z], [D_x, D_z] and [du, dv].
+    Both Cholesky factors come from one call on the point.
     """
 
-    __slots__ = ("rw", "rw_h", "rw_inv", "rw_inv_h", "w", "lam", "inv_root_outer")
+    __slots__ = ("left", "right", "w", "lam", "inv_root_outer")
 
-    def __init__(self, x: np.ndarray, z: np.ndarray):
-        lx = np.linalg.cholesky(x)
-        lz_h = _ct(np.linalg.cholesky(z))
+    def __init__(self, point: np.ndarray):
+        factors = np.linalg.cholesky(point)
+        lx, lz_h = factors[0], _ct(factors[1])
         u, sig, vh = np.linalg.svd(lz_h @ lx)
         inv_root = 1.0 / np.sqrt(sig)
-        self.rw = (lx @ _ct(vh)) * inv_root[:, None, :]
-        self.rw_h = _ct(self.rw)
-        self.rw_inv = inv_root[:, :, None] * (_ct(u) @ lz_h)
-        self.rw_inv_h = _ct(self.rw_inv)
-        self.w = self.rw @ self.rw_h
+        self.left = np.empty(point.shape, dtype=np.complex128)
+        self.right = np.empty_like(self.left)
+        rw = np.multiply(lx @ _ct(vh), inv_root[:, None, :], out=self.right[1])
+        rw_inv = np.multiply(inv_root[:, :, None], _ct(u) @ lz_h, out=self.left[0])
+        np.conjugate(rw.swapaxes(-1, -2), out=self.left[1])
+        np.conjugate(rw_inv.swapaxes(-1, -2), out=self.right[0])
+        self.w = rw @ self.left[1]
         self.lam = sig
         self.inv_root_outer = inv_root[:, :, None] * inv_root[:, None, :]
 
     def wdw(self, d: np.ndarray) -> np.ndarray:
         return self.w @ d @ self.w
 
-    def scaled(self, d: np.ndarray, primal: bool) -> np.ndarray:
-        """R D R^H with R = rw^{-1} (primal) or rw^H (dual), which maps the
-        point X (or Z) to diag(lam)."""
-        if primal:
-            return self.rw_inv @ d @ self.rw_inv_h
-        return self.rw_h @ d @ self.rw
+    def scaled(self, pair: np.ndarray) -> np.ndarray:
+        """[rw^{-1} D_x rw^{-H}, rw^H D_z rw], which map the points X and Z
+        to diag(lam)."""
+        return self.left @ pair @ self.right
 
-    def max_steps(self, du: np.ndarray, dv: np.ndarray) -> tuple[float, float]:
+    def max_steps(self, scaled: np.ndarray) -> tuple[float, float]:
         """Largest alpha_p and alpha_d keeping every block of X + alpha_p D_x
-        and Z + alpha_d D_z PSD, from the scaled directions du and dv.
+        and Z + alpha_d D_z PSD, from the scaled pair [du, dv].
 
         X + alpha D is PSD exactly when I + alpha lam^{-1/2} du lam^{-1/2}
         is, so each side's step comes from the smallest eigenvalue over its
         blocks (``_lowest_eigenvalues``); both sides' blocks go through one
         ``eigvalsh`` call.
         """
-        lowest = _lowest_eigenvalues(_herm(np.stack([du, dv]) * self.inv_root_outer))
+        lowest = _lowest_eigenvalues(_herm(scaled * self.inv_root_outer))
         return _step_to_boundary(lowest[0]), _step_to_boundary(lowest[1])
 
-    def corrector(self, du: np.ndarray, dv: np.ndarray, sigma_mu: float) -> np.ndarray:
+    def corrector(self, scaled: np.ndarray, sigma_mu: float) -> np.ndarray:
         """Complementarity term of the corrector: sigma mu I - lam^2 - du dv
         symmetrized in the scaled space, where the point is diag(lam) and the
         Lyapunov inverse is entrywise, mapped back by rw . rw^H."""
-        h2 = du @ dv
-        num = -(h2 + _ct(h2))
-        idx = np.arange(num.shape[1])
-        num[:, idx, idx] += 2.0 * sigma_mu - 2.0 * self.lam ** 2
+        h2 = scaled[0] @ scaled[1]
+        num = np.add(h2, _ct(h2), order="C")  # C order, so the reshape below is a view
+        np.negative(num, out=num)
+        k, d = self.lam.shape
+        diagonal = num.reshape(k, d * d)[:, :: d + 1]
+        diagonal += 2.0 * sigma_mu - 2.0 * self.lam ** 2
         num /= self.lam[:, :, None] + self.lam[:, None, :]
-        return self.rw @ num @ self.rw_h
+        return self.right[1] @ num @ self.left[1]
 
 
 class _OrthantScaling:
     """Nesterov-Todd scaling of the orthant part, a real vector x > 0 with
     dual z > 0, in closed form: w = sqrt(x / z), and the scaled point is
     x / w = w z = lam = sqrt(x z).  The same interface as ``_NtScaling``,
-    elementwise."""
+    elementwise, with a pair held as a tuple of two vectors."""
 
-    __slots__ = ("w", "lam")
+    __slots__ = ("w", "w_sq", "lam")
 
     def __init__(self, x: np.ndarray, z: np.ndarray):
         if not (x.min() > 0.0 and z.min() > 0.0):
             raise np.linalg.LinAlgError("orthant point is not interior")
         self.w = np.sqrt(x / z)
+        self.w_sq = self.w ** 2  # W D W reads it three times an iteration
         self.lam = np.sqrt(x * z)
 
     def wdw(self, d: np.ndarray) -> np.ndarray:
-        return self.w ** 2 * d
+        return self.w_sq * d
 
-    def scaled(self, d: np.ndarray, primal: bool) -> np.ndarray:
-        return d / self.w if primal else self.w * d
+    def scaled(self, pair) -> tuple:
+        return pair[0] / self.w, self.w * pair[1]
 
-    def max_steps(self, du: np.ndarray, dv: np.ndarray) -> tuple[float, float]:
+    def max_steps(self, scaled) -> tuple[float, float]:
+        du, dv = scaled
         return _step_to_boundary((du / self.lam).min()), _step_to_boundary((dv / self.lam).min())
 
-    def corrector(self, du: np.ndarray, dv: np.ndarray, sigma_mu: float) -> np.ndarray:
+    def corrector(self, scaled, sigma_mu: float) -> np.ndarray:
+        du, dv = scaled
         return self.w * ((sigma_mu - self.lam ** 2 - du * dv) / self.lam)
-
-
-def _scalings(x, z):
-    """The scalings of the PSD stack and of the orthant part."""
-    return [_NtScaling(x[0], z[0]), _OrthantScaling(x[1], z[1])]
 
 
 def _lowest_eigenvalues(h: np.ndarray) -> tuple[float, float]:
@@ -363,11 +377,12 @@ def _step_to_boundary(lowest: float) -> float:
     return -1.0 / float(lowest)
 
 
-def _step_lengths(scalings, du, dv, fraction: float = 1.0) -> tuple[float, float]:
+def _step_lengths(scalings, scaled, fraction: float = 1.0) -> tuple[float, float]:
     """(alpha_p, alpha_d): ``fraction`` of the way to the boundary on each
-    side, at most 1, from the scaled directions of both parts."""
-    steps = [sc.max_steps(du_b, dv_b) for sc, du_b, dv_b in zip(scalings, du, dv)]
-    return tuple(min(1.0, fraction * min(side)) for side in zip(*steps))
+    side, at most 1, from the scaled pairs of both parts."""
+    (psd_p, psd_d), (orthant_p, orthant_d) = [
+        sc.max_steps(scaled_b) for sc, scaled_b in zip(scalings, scaled)]
+    return min(1.0, fraction * min(psd_p, orthant_p)), min(1.0, fraction * min(psd_d, orthant_d))
 
 
 def _ct(m: np.ndarray) -> np.ndarray:
@@ -376,7 +391,18 @@ def _ct(m: np.ndarray) -> np.ndarray:
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + _ct(m)) / 2.0
+    h = m + _ct(m)
+    h /= 2.0
+    return h
+
+
+def _norm(v: np.ndarray) -> np.floating:
+    """``np.linalg.norm(v)`` bit for bit, with the same operations, without
+    its argument handling."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return np.sqrt(v.dot(v))
 
 
 # A problem core holds only what differs between P_e > 0 and P_e = 0, in the
@@ -389,9 +415,11 @@ def _herm(m: np.ndarray) -> np.ndarray:
 # probability of the measurement the iterate encodes (from x at P_e > 0, from
 # the weights y at P_e = 0) and dobj the lower bound on it from the other side.
 # Each of x, z, C and A*(y) is a pair [PSD stack (k, d, d), orthant part (m,)]
-# as in the module docstring, with the scalings ``_scalings(x, z)``, one per
-# part: W D W, the scaled direction, the step lengths to the boundary on both
-# sides, and the corrector term.
+# as in the module docstring.  ``_run_ipm`` holds the PSD stacks of x and z
+# as one (2, k, d, d) stack [X, Z], as it does the Newton directions
+# [D_x, D_z], and the orthant parts, and their directions, as two vectors.
+# The scalings, one per part, give W D W, the scaled pair, the step lengths
+# to the boundary on both sides, and the corrector term.
 
 
 class _MarginCore:
@@ -403,7 +431,7 @@ class _MarginCore:
     """
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray, pe: float):
-        self.b = np.append(gt.reshape(-1), pe)
+        self.b = np.concatenate([gt.reshape(-1), [pe]])
         self.r = gt.shape[0]
         self.n_var = qs.shape[0]
         self.gram_buf = np.empty((self.r ** 2, self.r ** 2), dtype=np.complex128)
@@ -424,14 +452,14 @@ class _MarginCore:
         eye = np.eye(r, dtype=np.complex128)
         x = [np.concatenate([np.broadcast_to(eps * eye, (n, r, r)), (gt - n * eps * eye)[None]]),
              np.array([pe - eps * total_beta])]
-        y = np.append(-2.0 * eye.reshape(-1), -1.0)
+        y = np.concatenate([-2.0 * eye.reshape(-1), [-1.0]])
         z = [np.concatenate([eye + self.betas, 2.0 * eye[None]]), np.ones(1)]
         return x, y, z
 
     def apply_a(self, blocks):
         h = blocks[0].sum(axis=0)
         s = blocks[1][0] + np.vdot(self.betas, blocks[0][: self.n_var]).real
-        return np.append(h.reshape(-1), s)
+        return np.concatenate([h.reshape(-1), [s]])
 
     def apply_a_adjoint(self, y):
         ym, t = y[:-1].reshape(self.r, self.r), y[-1].real
@@ -457,14 +485,17 @@ class _MarginCore:
         def solve_fn(rhs):
             nonlocal t_inv_d, denom
             if t_inv_d is None:
-                u, t_inv_d = t_solve(np.stack([rhs[:-1], dvec], axis=1)).T
+                columns = np.empty((r * r, 2), dtype=np.complex128)
+                columns[:, 0] = rhs[:-1]
+                columns[:, 1] = dvec
+                u, t_inv_d = t_solve(columns).T
                 denom = kappa - np.vdot(dvec, t_inv_d).real
                 if not denom > 0.0:  # last pivot of the bordered Schur matrix
                     raise np.linalg.LinAlgError("Schur complement is not positive definite")
             else:
                 u = t_solve(rhs[:-1])
             t_step = (rhs[-1].real - np.vdot(dvec, u).real) / denom
-            return np.append(_herm((u - t_step * t_inv_d).reshape(r, r)).reshape(-1), t_step)
+            return np.concatenate([_herm((u - t_step * t_inv_d).reshape(r, r)).reshape(-1), [t_step]])
 
         return solve_fn
 
@@ -478,6 +509,7 @@ class _UsdCore:
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray):
         self.qs = qs  # row j is the unit row q_j of identifiable state j
+        self.qs_conj = qs.conj()
         m = qs.shape[0]
         self.b = np.ones(m)
         self.cost = [gt[None], np.zeros(m)]
@@ -491,28 +523,32 @@ class _UsdCore:
         return x, y, z
 
     def apply_a(self, blocks):
-        quad = ((self.qs.conj() @ blocks[0][0]) * self.qs).sum(axis=1).real
+        quad = ((self.qs_conj @ blocks[0][0]) * self.qs).sum(axis=1).real
         return quad - blocks[1]
 
     def apply_a_adjoint(self, y):
-        return [((self.qs.T * y) @ self.qs.conj())[None], -y]
+        return [((self.qs.T * y) @ self.qs_conj)[None], -y]
 
     def objectives(self, x, y):
         return 1.0 - y.sum(), 1.0 - np.vdot(self.cost[0], x[0]).real
 
     def schur_solver(self, scalings):
-        v = self.qs.conj() @ scalings[0].w[0] @ self.qs.T  # v_ij = q_i^H W_Y q_j
-        return matlin.lu_solver(v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w ** 2))
+        v = self.qs_conj @ scalings[0].w[0] @ self.qs.T  # v_ij = q_i^H W_Y q_j
+        return matlin.lu_solver(v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w_sq))
 
 
 def _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve):
-    """One Newton direction (dx, dy, dz); ``wrdw`` is W rd W, part by part."""
+    """One Newton direction: dy, and per part the pair (D_x, D_z), with
+    D_x = E + W A*(dy) W and D_z = R_d - A*(dy): for the PSD stack one
+    (2, k, d, d) stack, for the orthant part a tuple.  ``wrdw`` is W rd W,
+    part by part."""
     filt = [rc_b - wrdw_b for wrdw_b, rc_b in zip(wrdw, rc)]
     dy = schur_solve(rp - core.apply_a(filt))
     adj = core.apply_a_adjoint(dy)
-    dz = [rd_b - adj_b for rd_b, adj_b in zip(rd, adj)]
-    dx = [e_b + sc.wdw(adj_b) for e_b, sc, adj_b in zip(filt, scalings, adj)]
-    return dx, dy, dz
+    psd = np.empty((2,) + adj[0].shape, dtype=np.complex128)
+    np.add(filt[0], scalings[0].wdw(adj[0]), out=psd[0])
+    np.subtract(rd[0], adj[0], out=psd[1])
+    return dy, [psd, (filt[1] + scalings[1].wdw(adj[1]), rd[1] - adj[1])]
 
 
 def _objectives_and_gap(core, x, y, z):
@@ -523,22 +559,25 @@ def _objectives_and_gap(core, x, y, z):
 
 def _run_ipm(core, options: SolverOptions):
     x, y, z = core.initial_point()
+    xz = np.stack([x[0], z[0]])  # [X, Z]; each side's orthant part stays a vector
+    x_orth, z_orth = x[1], z[1]
     nu = float(x[0].shape[0] * x[0].shape[1] + x[1].size)
     c_scale = 1.0 + np.sqrt(sum(np.vdot(c_b, c_b).real for c_b in core.cost))
-    b_scale = 1.0 + float(np.linalg.norm(core.b))
+    b_scale = 1.0 + float(_norm(core.b))
     tol = options.tolerance
     status = "max-iterations"
     iterations = 0
 
     for iteration in range(1, options.max_iterations + 1):
         iterations = iteration
+        x, z = [xz[0], x_orth], [xz[1], z_orth]
         rp = core.b - core.apply_a(x)
         adj = core.apply_a_adjoint(y)
         rd = [c_b - z_b - adj_b for c_b, z_b, adj_b in zip(core.cost, z, adj)]
 
         pobj, dobj, gap = _objectives_and_gap(core, x, y, z)
-        pinf = np.linalg.norm(rp)
-        dinf = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd))
+        pinf = _norm(rp)
+        dinf = np.sqrt(sum(_norm(r) ** 2 for r in rd))
         crit = max(pinf / b_scale, dinf / c_scale, abs(gap), abs(pobj - dobj))
         log.debug(
             "iter %3d  pobj=% .9e dobj=% .9e gap=%.2e pinf=%.1e dinf=%.1e",
@@ -555,28 +594,26 @@ def _run_ipm(core, options: SolverOptions):
         # faults (1 MB) per iteration at N = 16, P_e > 0.
         mu = gap / nu
         try:  # an NT scaling, the Schur factorization or a solve can fail
-            scalings = _scalings(x, z)
+            scalings = [_NtScaling(xz), _OrthantScaling(x_orth, z_orth)]
             schur_solve = core.schur_solver(scalings)
             wrdw = [sc.wdw(rd_b) for sc, rd_b in zip(scalings, rd)]  # both steps use it
 
             # Predictor: pure Newton step toward the boundary.
             rc_aff = [-x_b for x_b in x]
-            dx_a, _, dz_a = _newton_step(core, scalings, rp, rd, wrdw, rc_aff, schur_solve)
-            du_a = [sc.scaled(d, True) for sc, d in zip(scalings, dx_a)]
-            dv_a = [sc.scaled(d, False) for sc, d in zip(scalings, dz_a)]
-            alpha_p, alpha_d = _step_lengths(scalings, du_a, dv_a)
-            gap_aff = sum(
-                np.vdot(z_b + alpha_d * dz_b, x_b + alpha_p * dx_b).real
-                for x_b, z_b, dx_b, dz_b in zip(x, z, dx_a, dz_a)
-            )
+            _, pairs_a = _newton_step(core, scalings, rp, rd, wrdw, rc_aff, schur_solve)
+            scaled_a = [sc.scaled(pair) for sc, pair in zip(scalings, pairs_a)]
+            alpha_p, alpha_d = _step_lengths(scalings, scaled_a)
+            psd, (dx_orth, dz_orth) = pairs_a
+            trial = xz + np.array([alpha_p, alpha_d]).reshape(2, 1, 1, 1) * psd
+            gap_aff = (np.vdot(trial[1], trial[0]).real
+                       + np.vdot(z_orth + alpha_d * dz_orth, x_orth + alpha_p * dx_orth).real)
             sigma = min(1.0, max(1e-10, gap_aff / gap) ** 3)
 
             # Corrector with the predictor's second-order term.
-            rc = [sc.corrector(du, dv, sigma * mu) for sc, du, dv in zip(scalings, du_a, dv_a)]
-            dx, dy, dz = _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve)
+            rc = [sc.corrector(scaled, sigma * mu) for sc, scaled in zip(scalings, scaled_a)]
+            dy, pairs = _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve)
             alpha_p, alpha_d = _step_lengths(
-                scalings, [sc.scaled(d, True) for sc, d in zip(scalings, dx)],
-                [sc.scaled(d, False) for sc, d in zip(scalings, dz)], STEP_FRACTION)
+                scalings, [sc.scaled(pair) for sc, pair in zip(scalings, pairs)], STEP_FRACTION)
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
@@ -584,10 +621,12 @@ def _run_ipm(core, options: SolverOptions):
             status = "stalled"
             break
 
-        x = [_herm(x[0] + alpha_p * dx[0]), x[1] + alpha_p * dx[1]]
-        z = [_herm(z[0] + alpha_d * dz[0]), z[1] + alpha_d * dz[1]]
+        psd, (dx_orth, dz_orth) = pairs
+        xz = _herm(xz + np.array([alpha_p, alpha_d]).reshape(2, 1, 1, 1) * psd)
+        x_orth, z_orth = x_orth + alpha_p * dx_orth, z_orth + alpha_d * dz_orth
         y = y + alpha_d * dy  # at P_e > 0 dy's matrix part is Hermitian, so y stays so
 
+    x, z = [xz[0], x_orth], [xz[1], z_orth]
     pobj, dobj, gap = _objectives_and_gap(core, x, y, z)
     return x, y, status, iterations, pobj, dobj, gap
 

@@ -75,6 +75,32 @@ class TestLambdaMinRule:
                 sol.objective, abs=1e-5
             )
 
+    @pytest.mark.parametrize("n,real", [(3, False), (4, False), (5, True), (8, False)])
+    def test_circulant_gram_matches_sdp(self, n, real):
+        """Every full-rank circulant Gram matrix with uniform priors is in
+        the rule's exact regime: Gamma = F^H diag(g) F / N with F the DFT and
+        positive eigenvalues g of mean 1 (unit diagonal); g_k = g_{N-k}
+        makes Gamma real."""
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            g = rng.uniform(0.1, 2.0, n)
+            if real:
+                g = (g + np.roll(g[::-1], 1)) / 2.0
+            g /= g.mean()
+            dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+            gram = dft.conj().T @ (g[:, None] * dft) / n
+            if real:
+                assert np.abs(gram.imag).max() < 1e-15
+                gram = gram.real
+            first_row = gram[0]
+            assert np.allclose(gram, [np.roll(first_row, j) for j in range(n)], atol=1e-14)
+            cfg = quantum.InterferometerConfig(np.full(n, 1.0 / n), gram)
+            rule = disc.usd_failure_lambda_min(cfg).p_failure
+            solution = sdp.solve(sdp.build_problem(cfg, 0.0))
+            assert solution.status == "optimal"
+            assert rule == pytest.approx(1.0 - g.min(), abs=1e-12)
+            assert solution.objective == pytest.approx(rule, abs=1e-6)
+
     def test_not_tight_for_general_overlaps(self):
         # With unequal overlaps the smallest-eigenvalue value only upper
         # bounds the optimal failure probability; general configurations are

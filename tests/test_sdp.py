@@ -425,6 +425,7 @@ class TestSolverDiagnostics:
         ("tolerance", 0.0), ("tolerance", -1.0), ("tolerance", float("nan")),
         ("tolerance", float("inf")), ("max_iterations", 0), ("max_iterations", -3),
         ("max_iterations", 2.5), ("max_iterations", True), ("tolerance", True),
+        ("tolerance", "1e-7"), ("tolerance", None), ("tolerance", 1e-7 + 0j),
     ])
     def test_options_rejected(self, field, value):
         with pytest.raises(matlin.ValidationError):
@@ -485,7 +486,7 @@ class TestSchurSystem:
         gt, q = support_gram(problem)
         core = sdp._MarginCore(gt, q.conj(), pe) if pe > 0 else sdp._UsdCore(gt, q.conj())
         x, _, z = core.initial_point()
-        scalings = sdp._scalings(x, z)
+        scalings = [sdp._NtScaling(np.stack([x[0], z[0]])), sdp._OrthantScaling(x[1], z[1])]
         schur_solve = core.schur_solver(scalings)
         psd, orthant = scalings
         r = gt.shape[0]
@@ -648,7 +649,8 @@ class TestStackedBlocks:
             monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
         solution = sdp.solve(sdp.build_problem(random_config(4, 4, 0), pe))
         assert solution.status == "optimal"
-        assert len(sizes) == 5 * solution.iterations  # 2 eigvalsh, 1 svd, 2 cholesky
+        # 2 eigvalsh, 1 svd, and 1 cholesky call on the stack [X, Z]
+        assert len(sizes) == 4 * solution.iterations
         assert min(sizes) == 4
 
     @pytest.mark.parametrize("d", [1, 4])
@@ -663,11 +665,11 @@ class TestStackedBlocks:
                 return m @ sdp._ct(m) + shift * np.eye(d)
 
             x, z = psd_stack(0.5), psd_stack(0.5)
-            scaling = sdp._NtScaling(x, z)
+            scaling = sdp._NtScaling(np.stack([x, z]))
 
             def max_step(sc, d):  # the other side's direction is zero, its step infinite
-                scaled, zero = sc.scaled(d, primal), np.zeros_like(d)
-                steps = sc.max_steps(*((scaled, zero) if primal else (zero, scaled)))
+                zero = np.zeros_like(d)
+                steps = sc.max_steps(sc.scaled(np.stack([d, zero] if primal else [zero, d])))
                 assert steps[primal] == np.inf
                 return steps[not primal]
 
@@ -676,7 +678,8 @@ class TestStackedBlocks:
             for limiting in range(k):
                 direction = -psd_stack(0.1)  # every block leaves the cone ...
                 direction[limiting] *= 1e4  # ... and this one first
-                steps = [max_step(sdp._NtScaling(x[j:j + 1], z[j:j + 1]), direction[j:j + 1])
+                steps = [max_step(sdp._NtScaling(np.stack([x[j:j + 1], z[j:j + 1]])),
+                                  direction[j:j + 1])
                          for j in range(k)]
                 assert int(np.argmin(steps)) == limiting
                 assert max_step(scaling, direction) == min(steps)
@@ -704,12 +707,12 @@ class TestStackedBlocks:
 
             x, z = psd_stack(), psd_stack()
             point = x if primal else z
-            scaling = sdp._NtScaling(x, z)
+            scaling = sdp._NtScaling(np.stack([x, z]))
             for _ in range(3):
                 # the direction under test, and another one on the other side
                 direction, other = hermitian_stack(), hermitian_stack()
                 dx, dz = (direction, other) if primal else (other, direction)
-                steps = scaling.max_steps(scaling.scaled(dx, True), scaling.scaled(dz, False))
+                steps = scaling.max_steps(scaling.scaled(np.stack([dx, dz])))
                 alpha = steps[not primal]
                 assert 0.0 < alpha < np.inf
                 assert np.linalg.eigvalsh(point + 0.999 * alpha * direction).min() >= 0.0
@@ -834,12 +837,12 @@ class TestStackedBlocks:
         assert np.allclose(w * z, scaling.lam, rtol=1e-14, atol=0.0)
         for _ in range(3):
             dx, dz = rng.standard_normal(m), rng.standard_normal(m)
-            alpha_p, alpha_d = scaling.max_steps(scaling.scaled(dx, True), scaling.scaled(dz, False))
+            alpha_p, alpha_d = scaling.max_steps(scaling.scaled((dx, dz)))
             for point, direction, alpha in ((x, dx, alpha_p), (z, dz, alpha_d)):
                 assert 0.0 < alpha < np.inf
                 assert (point + 0.999 * alpha * direction).min() >= 0.0
                 assert (point + 1.001 * alpha * direction).min() < 0.0
-        assert scaling.max_steps(np.abs(dx), np.abs(dz)) == (np.inf, np.inf)
+        assert scaling.max_steps((np.abs(dx), np.abs(dz))) == (np.inf, np.inf)
 
     def test_orthant_scaling_matches_one_by_one_psd_blocks(self):
         """On the same numbers held as (m, 1, 1) PSD blocks, the NT scaling
@@ -853,16 +856,108 @@ class TestStackedBlocks:
         def blocks(v):
             return v.astype(np.complex128).reshape(m, 1, 1)
 
-        psd = sdp._NtScaling(blocks(x), blocks(z))
-        du, dv = orthant.scaled(dx, True), orthant.scaled(dz, False)
-        du_b, dv_b = psd.scaled(blocks(dx), True), psd.scaled(blocks(dz), False)
+        psd = sdp._NtScaling(np.stack([blocks(x), blocks(z)]))
+        du, dv = orthant.scaled((dx, dz))
+        scaled_b = psd.scaled(np.stack([blocks(dx), blocks(dz)]))
         pairs = [
             (orthant.wdw(dx), psd.wdw(blocks(dx))),
-            (du, du_b),
-            (dv, dv_b),
-            (orthant.corrector(du, dv, 0.3), psd.corrector(du_b, dv_b, 0.3)),
+            (du, scaled_b[0]),
+            (dv, scaled_b[1]),
+            (orthant.corrector((du, dv), 0.3), psd.corrector(scaled_b, 0.3)),
         ]
         for vector, stack in pairs:
             assert np.allclose(stack, blocks(vector), rtol=1e-13, atol=0.0)
-        assert np.allclose(orthant.max_steps(du, dv), psd.max_steps(du_b, dv_b),
+        assert np.allclose(orthant.max_steps((du, dv)), psd.max_steps(scaled_b),
                            rtol=1e-13, atol=0.0)
+
+
+def same_bits(a, b):
+    """Bitwise equality of two arrays, signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedSides:
+    """The iteration's stacked forms against the one-side-at-a-time forms
+    they replace, bit for bit: one Cholesky call on the point [X, Z], both
+    sides' scaled directions in two batched matmuls on C-ordered factor
+    stacks (one side's conjugate-transposed factors were strided copies),
+    the corrector's diagonal as a strided view (it was fancy-indexed), the
+    in-place halving in ``_herm`` and the inlined norm."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    @pytest.mark.parametrize("k", [3, sdp.GERSHGORIN_MIN_BLOCKS + 2])
+    def test_scaling_matches_one_side_at_a_time(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+
+        def stack():
+            return rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+
+        def psd_stack():
+            m = stack()
+            return sdp._herm(m @ sdp._ct(m) + 0.5 * np.eye(d))
+
+        x, z = psd_stack(), psd_stack()
+        scaling = sdp._NtScaling(np.stack([x, z]))
+
+        # The scaling one side at a time, each conjugate transpose a strided copy.
+        lx = np.linalg.cholesky(x)
+        lz_h = sdp._ct(np.linalg.cholesky(z))
+        u, sig, vh = np.linalg.svd(lz_h @ lx)
+        inv_root = 1.0 / np.sqrt(sig)
+        rw = (lx @ sdp._ct(vh)) * inv_root[:, None, :]
+        rw_h = sdp._ct(rw)
+        rw_inv = inv_root[:, :, None] * (sdp._ct(u) @ lz_h)
+        rw_inv_h = sdp._ct(rw_inv)
+        assert not rw_h.flags.c_contiguous or d == 1  # the layout the stacks replace
+        assert same_bits(scaling.lam, sig)
+        for got, want in [(scaling.left[0], rw_inv), (scaling.left[1], rw_h),
+                          (scaling.right[0], rw_inv_h), (scaling.right[1], rw),
+                          (scaling.w, rw @ rw_h),
+                          (scaling.inv_root_outer, inv_root[:, :, None] * inv_root[:, None, :])]:
+            assert same_bits(got, want)
+
+        for sigma_mu in (0.37, 1e-9):
+            dx, dz = stack(), stack()
+            scaled = scaling.scaled(np.stack([dx, dz]))
+            du, dv = rw_inv @ dx @ rw_inv_h, rw_h @ dz @ rw
+            assert same_bits(scaled[0], du) and same_bits(scaled[1], dv)
+
+            h = np.stack([du, dv]) * scaling.inv_root_outer
+            lowest = np.linalg.eigvalsh((h + sdp._ct(h)) / 2.0)[..., 0].min(axis=1)
+            assert scaling.max_steps(scaled) == tuple(map(sdp._step_to_boundary, lowest))
+
+            h2 = du @ dv
+            num = -(h2 + sdp._ct(h2))
+            idx = np.arange(d)
+            num[:, idx, idx] += 2.0 * sigma_mu - 2.0 * sig ** 2
+            num /= sig[:, :, None] + sig[:, None, :]
+            assert same_bits(scaling.corrector(scaled, sigma_mu), rw @ num @ rw_h)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2), (2, 5, 4, 4), (2, 17, 16, 16)])
+    def test_herm_halves_in_place(self, shape):
+        rng = np.random.default_rng(len(shape))
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m.imag[..., 0, 0] = -0.0  # signed zeros on the diagonal
+        h = sdp._herm(m)
+        assert same_bits(h, (m + sdp._ct(m)) / 2.0)
+        assert h.flags.c_contiguous
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (26,), (6, 3, 3), (2, 17, 16, 16)])
+    def test_norm_is_numpy_norm(self, complex_input, shape):
+        """The value and its square, as the residual norms use them, also at
+        scales where the squares underflow or overflow."""
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1.0, 1e-170, 1e-3, 1e150, 1e200):
+            v = scale * rng.standard_normal(shape)
+            if complex_input:
+                v = v + 1j * scale * rng.standard_normal(shape)
+            v.reshape(-1)[0] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # overflow at 1e200
+                got, want = sdp._norm(v), np.linalg.norm(v)
+                assert type(got) is type(want) is np.float64
+                assert same_bits(got, want)
+                assert same_bits(got ** 2, want ** 2)
+        assert same_bits(sdp._norm(np.zeros(shape)), np.linalg.norm(np.zeros(shape)))
