@@ -69,8 +69,9 @@ together.  The two sides of the PSD stack live in one (2, k, d, d) stack
 throughout: the point [X, Z], whose two Cholesky factors are one call, each
 Newton step's directions [D_x, D_z], and their scaled directions, both
 sides' in two batched matmuls that the step lengths and the corrector read
-as they are.  Every operation and operand is that of one side at a time,
-so the stacking changes no bit of a solve.  A step length needs only each side's smallest eigenvalue, so from
+as they are.  Each entry comes from the same operations on the same numbers
+as it did one side at a time, so the stacking changes no bit of a solve.
+A step length needs only each side's smallest eigenvalue, so from
 ``GERSHGORIN_MIN_BLOCKS`` blocks on that call solves only the blocks whose
 Gershgorin bound does not rule them out (Gershgorin, 1931), and returns the
 same minimum bit for bit: at P_e > 0 on an N = 48, rank-4 Gram about a
@@ -312,8 +313,9 @@ class _NtScaling:
 class _OrthantScaling:
     """Nesterov-Todd scaling of the orthant part, a real vector x > 0 with
     dual z > 0, in closed form: w = sqrt(x / z), and the scaled point is
-    x / w = w z = lam = sqrt(x z).  The same interface as ``_NtScaling``,
-    elementwise, with a pair held as a tuple of two vectors."""
+    x / w = w z = lam = sqrt(x z).  Built from x and z, it has the methods
+    of ``_NtScaling``, elementwise, with a pair held as a tuple of two
+    vectors."""
 
     __slots__ = ("w", "w_sq", "lam")
 
@@ -495,7 +497,8 @@ class _MarginCore:
             else:
                 u = t_solve(rhs[:-1])
             t_step = (rhs[-1].real - np.vdot(dvec, u).real) / denom
-            return np.concatenate([_herm((u - t_step * t_inv_d).reshape(r, r)).reshape(-1), [t_step]])
+            dm = _herm((u - t_step * t_inv_d).reshape(r, r))
+            return np.concatenate([dm.reshape(-1), [t_step]])
 
         return solve_fn
 
