@@ -100,7 +100,7 @@ def run_mix(packages, instances):
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("usage: python tools/ab.py DIR_A DIR_B", file=sys.stderr)
         return 2
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     packages = [load(argv[0], "wpduality_a"), load(argv[1], "wpduality_b")]
