@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -69,13 +70,16 @@ def _write_rows(path: str, header: list[str], rows: list[list], fmt: str) -> Non
                 _fmt(v) if isinstance(v, float) else str(v) for v in row))
         _write_text(path, "\n".join(lines) + "\n")
     else:
+        # JSON has no NaN: a value that is not defined, such as C on a bound row, is null
+        rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+                for row in rows]
         _write_json(path, {"schema_version": SCHEMA_VERSION,
                            "rows": [dict(zip(header, row)) for row in rows]})
     log.info("wrote %d rows to %s", len(rows), path)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _parse_list(text: str, flag: str, convert, noun: str) -> list:
@@ -215,22 +219,22 @@ def cmd_figure2(args) -> int:
     return EXIT_SOLVER if failures else EXIT_OK
 
 
-def _holds_bool(value) -> bool:
-    """True if a JSON value is, or nests in lists, a ``true`` or ``false``."""
+def _holds_only_numbers(value) -> bool:
+    """True if a JSON value is a number, or nests only numbers in lists."""
     if isinstance(value, list):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
+        return all(_holds_only_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _numeric_field(raw: dict, key: str, default=None) -> np.ndarray:
-    # numpy would read JSON true/false as 1/0
-    if _holds_bool(raw.get(key)):
-        raise ValidationError(f"instance field {key!r} must hold numbers, not true/false")
+    # numpy would read JSON true/false as 1/0 and a numeric string as its number
+    if key in raw and not _holds_only_numbers(raw[key]):
+        raise ValidationError(f"instance field {key!r} must hold only numbers")
     try:
         value = np.asarray(raw.get(key, default), dtype=float)
-    except (TypeError, ValueError) as exc:  # strings, ragged nesting, objects
+    except (OverflowError, ValueError) as exc:  # ragged nesting, an integer beyond float
         raise ValidationError(f"instance field {key!r} is not numeric: {exc}") from exc
-    if not np.isfinite(value).all():  # JSON null converts to NaN
+    if not np.isfinite(value).all():  # Python's json reads NaN and Infinity
         raise ValidationError(f"instance field {key!r} must hold finite numbers")
     return value
 

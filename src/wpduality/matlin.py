@@ -10,13 +10,16 @@ here validate them, at fixed tolerances, instead of wrapping them in classes.
 returns a function that solves for each right-hand side with the factor
 (``getrs``), where every ``np.linalg.solve`` call factors the matrix again.
 numpy has no factor-then-solve API, and scipy's would add its import to
-every start-up, so the two routines are called through ``ctypes`` in the
-OpenBLAS that ``numpy.linalg`` itself links (the ``scipy_*_64_`` symbols of
-numpy's wheels, 64-bit integers).  ``np.linalg.solve`` runs the same
-``getrf`` and ``getrs`` inside ``gesv``, so with OpenBLAS on one thread the
-results are bitwise those of ``np.linalg.solve``; on more threads OpenBLAS
-chooses its serial or threaded kernels by different size rules in ``gesv``
-and in ``getrf``/``getrs``, and the last bits can differ.  Where the
+every start-up: on a 2-core VM, ``import scipy.linalg`` took 0.23-0.31 s
+more than ``import numpy`` alone and raised peak RSS from 27 to 55 MB, where
+a whole benchmark set-up takes about 0.25 s and peaks at 43-47 MB.  So the
+two routines are called through ``ctypes`` in the OpenBLAS that
+``numpy.linalg`` itself links (the ``scipy_*_64_`` symbols of numpy's wheels,
+64-bit integers).  ``np.linalg.solve`` runs the same ``getrf`` and ``getrs``
+inside ``gesv``, so with OpenBLAS on one thread the results are bitwise those
+of ``np.linalg.solve``; on more threads OpenBLAS chooses its serial or
+threaded kernels by different size rules in ``gesv`` and in
+``getrf``/``getrs``, and the last bits can differ.  Where the
 symbols are missing (a numpy built against another LAPACK), or the matrix
 is not a square float64 or complex128 one of order ``LU_MIN_ORDER`` or
 more, the returned function is ``np.linalg.solve``.  Inside an

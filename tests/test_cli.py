@@ -134,6 +134,20 @@ class TestFigure2:
                     assert float(value) == pytest.approx(float(expected), abs=1e-9,
                                                          nan_ok=True)
 
+    def test_json_is_strict(self, tmp_path):
+        """A value that is not defined is written as null, not as a bare NaN."""
+        out = tmp_path / "f2.json"
+        assert cli.main(["figure2", "--n-paths", "2", "--ensemble", "1", "--grid", "2",
+                         "--error-budget", "0.4", "--format", "json", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+        bounds = [row for row in rows if row["kind"] == "bound"]
+        assert bounds and all(row["C"] is None for row in bounds)
+        assert any(row["bound_lhs"] is None for row in bounds)  # P_e > 1 - P_f
+
     def test_breakdown_rows_carry_last_iterate(self, tmp_path):
         out = tmp_path / "f2.csv"
         rc = cli.main([
@@ -253,6 +267,10 @@ class TestSolve:
         ("error_budget", True),
         ("priors", [True, False]),
         ("gram_re", [[True, 0.2], [0.2, 1.0]]),
+        ("error_budget", "0.1"),
+        ("priors", ["0.5", "0.5"]),
+        ("gram_re", [[1.0, "0.2"], [0.2, 1.0]]),
+        pytest.param("error_budget", 10**400, id="error_budget-int-beyond-float"),
     ])
     def test_malformed_field_exit_code(self, tmp_path, capsys, field, value):
         payload = {"priors": [0.5, 0.5], "gram_re": [[1.0, 0.2], [0.2, 1.0]]}

@@ -1,5 +1,7 @@
-"""The solve-set gate, ``compare`` in ``tools/solve_set.py``, on synthetic
-records: each rule its docstring states, on both sides of its threshold."""
+"""The solve-set gate, ``tools/solve_set.py``: ``compare`` on synthetic
+records, each rule its docstring states on both sides of its threshold; the
+timing summary on synthetic times; and a run on a few solves that loads this
+checkout as both sides."""
 
 import importlib.util
 import os
@@ -14,11 +16,11 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 @pytest.fixture(scope="module")
 def solve_set():
-    # The tool pins the BLAS environment and puts its src/ on sys.path when
-    # loaded; keep both as they were for the rest of the test process.
+    # The tool pins the BLAS environment when loaded; keep it as it was for
+    # the rest of the test process.
     spec = importlib.util.spec_from_file_location("solve_set", TOOL)
     module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+    with mock.patch.dict(os.environ):
         spec.loader.exec_module(module)
     return module
 
@@ -69,3 +71,31 @@ def test_tight_tolerance_optimal_count_drop(solve_set, drop, fails):
 def test_record_missing_from_baseline_fails(solve_set):
     failures = solve_set.compare([record(seed=0), record(seed=1)], [record(seed=0)])
     assert len(failures) == 1 and "not in the baseline" in failures[0]
+
+
+def test_wrong_argument_count_prints_usage(solve_set, capsys):
+    assert solve_set.main(["only-one-dir"]) == 2
+    assert capsys.readouterr().err.strip() == solve_set.USAGE
+
+
+def test_timing_summary_per_mix(solve_set):
+    timings = [("fast", 1.0, t_b) for t_b in (0.5, 1.0, 2.0, 4.0, 1.0)]
+    timings += [("slow", 3.0, 1.0), ("slow", 1.0, 1.0)]
+    summary = solve_set.timing_summary(timings)
+    assert list(summary) == ["fast", "slow"]
+    assert summary["fast"] == (0.5, 1.0, 1.0, 5)  # ratios 0.25, 0.5, 1, 1, 2
+    assert summary["slow"] == (1.5, 2.0, 2.5, 2)
+
+
+def test_same_checkout_twice_matches(solve_set, monkeypatch, capsys):
+    """Both package names load from one checkout and every record matches."""
+    few = [(2, 2, seed, budget, 1e-7) for seed in range(2) for budget in (0.0, 0.3)]
+    monkeypatch.setattr(solve_set, "instances", lambda: iter(few))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    root = os.path.dirname(os.path.dirname(TOOL))
+    with mock.patch.dict(sys.modules):
+        assert solve_set.main([root, root]) == 0
+        assert sys.modules["wpduality_a"] is not sys.modules["wpduality_b"]
+    out = capsys.readouterr().out
+    assert "4/4 records of B equal A's in every field" in out
+    assert "over 4 solves" in out and "0 failures" in out

@@ -1,11 +1,15 @@
-"""Run the fixed solve set and compare it with a baseline.
+"""The solver gate: check two checkouts' solves against each other, bit by
+bit, and time them solve by solve.
 
 Usage::
 
-    python tools/solve_set.py OUT.jsonl [BASELINE.jsonl]
+    python tools/solve_set.py DIR_A DIR_B
 
-Imports ``wpduality`` from the ``src/`` directory next to this script, so a
-copy of the script in another checkout measures that checkout.  The set is
+A is the baseline, normally a ``git archive`` of the parent commit, and B the
+change.  The ``wpduality`` package of each checkout (``DIR/src/wpduality``) is
+loaded into one process, under the names ``wpduality_a`` and ``wpduality_b``.
+Each side builds its own problems with its own ``random_config`` and
+``build_problem``.  The solve set is
 
 * ``random_config(n, n, s)`` for N = 2..5 and s < 60, at budgets 0, 0.01,
   0.05 and 0.3, each at tolerance 1e-7, 1e-12 and 1e-13;
@@ -13,40 +17,58 @@ copy of the script in another checkout measures that checkout.  The set is
 * ``random_config(48, 4, s)`` (Gram rank 4) for s < 4 at budgets 0, 0.05 and
   0.2, tolerance 1e-7.
 
-Each solve writes one JSON line: the instance key, the status, the iteration
-count, the ``repr`` of the objective, dual objective, gap and error used, and
-the minimum eigenvalue of the slack G - sum z_j.  A solve that raises is
-recorded with status ``"raised <ExceptionName>"``.  BLAS is pinned to one
-thread before numpy loads: on more threads OpenBLAS picks its kernels by the
-host's thread count, and the last bits of the N = 16, P_e > 0 solves move.
+Every instance is solved by both sides, one right after the other, A first on
+every other instance, after one untimed warm-up solve a side.  Each solve
+makes one record: the instance key, the status, the iteration count, the
+``repr`` of the objective, dual objective, gap and error used, and the
+minimum eigenvalue of the slack G - sum z_j.  A solve that raises is recorded
+with status ``"raised <ExceptionName>"``.
 
-Given a baseline file written by the same script, prints per tolerance the
-status transitions and how many solves reproduce the ``repr`` of every value
-exactly.  It exits 1 if any tolerance-1e-7 solve changes status or iteration
-count, moves a value by more than 1e-9, or ends ``"optimal"`` with a slack
-eigenvalue below -1e-7, if the ``"optimal"`` count at tolerance 1e-12 or 1e-13
-falls more than 20 below the baseline's, or if any solve of this run raised.
+``compare`` prints per tolerance the status transitions from A to B and how
+many of B's solves reproduce the ``repr`` of every value of A's.  The run
+exits 1 if any tolerance-1e-7 solve changes status or iteration count, moves
+a value by more than 1e-9, or ends ``"optimal"`` in B with a slack eigenvalue
+below -1e-7, if B's ``"optimal"`` count at tolerance 1e-12 or 1e-13 falls
+more than 20 below A's, or if any solve of B raised.  The instance list, the
+record fields and these rules have not changed since the set first gated a
+solver change, so the counts that earlier runs quote compare with new ones.
+
+Only ``sdp.solve`` is timed.  Per mix of the shape of a benchmark workload
+(``perfbench/WORKLOADS.md``) it prints the median and quartiles of
+t_A / t_B, above 1 when B is faster, and the count of timed solves:
+
+* N = 2..5, every solve of the set: scan-small;
+* N = 16, P_e = 0: solve-large-usd;
+* N = 16, P_e > 0: solve-large-margin;
+* N = 48, rank 4: lowrank-wide.
+
+The N = 16 and N = 48 instances are solved ``TIMING_PASSES`` times, so that
+these mixes time at least 15, 15 and 40 solves; only the first pass makes
+their records.  Timing the two sides solve by solve in one process keeps a
+slow spell of the machine from falling on one side only.
+
+BLAS is pinned to one thread before numpy loads, and the process to one CPU,
+as ``perfbench/run.py`` does: on more threads OpenBLAS picks its kernels by
+the host's thread count, and the last bits of the N = 16, P_e > 0 solves
+move.
 """
 
 from __future__ import annotations
 
 import collections
-import json
+import importlib.util
 import math
 import os
+import statistics
 import sys
+import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-
 import numpy as np  # noqa: E402
 
-from wpduality import sdp  # noqa: E402
-from wpduality.discrimination import random_config  # noqa: E402
-
+USAGE = "usage: python tools/solve_set.py DIR_A DIR_B"
 CHECKED_TOL = 1e-7  # the tolerance whose solves must not change at all
 VALUE_TOL = 1e-9
 SLACK_FLOOR = -1e-7
@@ -54,6 +76,9 @@ SLACK_FLOOR = -1e-7
 # rounding moves; a net loss of more than this many (of 960) fails the run.
 OPTIMAL_DROP_LIMIT = 20
 VALUES = ("objective", "dual_objective", "gap", "error_used", "min_slack")
+# Solves of each N = 16 and N = 48 instance: at P_e = 0 the set has 3, the
+# fewest of any mix, and a median over 3 ratios spreads several percent.
+TIMING_PASSES = 5
 
 
 def instances():
@@ -71,22 +96,49 @@ def instances():
             yield 48, 4, seed, budget, 1e-7
 
 
-def run_one(n, dim, seed, budget, tol) -> dict:
+def mix(instance) -> str:
+    """The timed mix of an instance, named by its benchmark workload."""
+    n, _, _, budget, _ = instance
+    if n <= 5:
+        return "N=2-5 (scan-small)"
+    if n == 16 and budget == 0:
+        return "N=16 P_e=0 (solve-large-usd)"
+    if n == 16:
+        return "N=16 P_e>0 (solve-large-margin)"
+    return "N=48 rank 4 (lowrank-wide)"
+
+
+def load(directory: str, name: str):
+    """Import ``directory/src/wpduality`` as the package ``name``."""
+    src = os.path.join(os.path.abspath(directory), "src", "wpduality")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(src, "__init__.py"), submodule_search_locations=[src])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def run_one(package, n, dim, seed, budget, tol) -> tuple[dict, float]:
+    """Solve one instance with ``package``: its record and the solve's seconds."""
+    sdp = package.sdp
     record = {"n": n, "dim": dim, "seed": seed, "budget": budget, "tol": tol}
-    problem = sdp.build_problem(random_config(n, dim, seed), budget)
+    problem = sdp.build_problem(package.discrimination.random_config(n, dim, seed), budget)
+    start = time.perf_counter()
     try:
         sol = sdp.solve(problem, sdp.SolverOptions(tolerance=tol))
     except Exception as exc:  # recorded: a raising solve is a finding, not the end of the run
         record.update(status=f"raised {type(exc).__name__}", iterations=None,
                       message=str(exc), **{k: None for k in VALUES})
-        return record
+        return record, time.perf_counter() - start
+    seconds = time.perf_counter() - start
     record.update(
         status=sol.status,
         iterations=sol.iterations,
         **{k: repr(float(getattr(sol, k))) for k in VALUES[:-1]},
         min_slack=repr(float(np.linalg.eigvalsh(sol.slack_psd)[0])),
     )
-    return record
+    return record, seconds
 
 
 def _key(record) -> tuple:
@@ -141,28 +193,54 @@ def compare(records: list[dict], baseline: list[dict]) -> list[str]:
     return failures
 
 
+def timing_summary(timings) -> dict[str, tuple[float, float, float, int]]:
+    """Per mix, in order of first appearance, the lower quartile, median and
+    upper quartile of t_A / t_B and the solve count, from ``(mix, t_a, t_b)``
+    triples."""
+    ratios = collections.defaultdict(list)
+    for name, t_a, t_b in timings:
+        ratios[name].append(t_a / t_b)
+    return {name: (*statistics.quantiles(values, n=4, method="inclusive"), len(values))
+            for name, values in ratios.items()}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print(__doc__, file=sys.stderr)
+    if len(argv) != 2:
+        print(USAGE, file=sys.stderr)
         return 2
-    records = []
-    with open(argv[0], "w", encoding="utf-8") as fh:
-        for inst in instances():
-            rec = run_one(*inst)
-            records.append(rec)
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    failures = [f"{_key(r)}: {r['status']}" for r in records if r["status"].startswith("raised")]
-    failures += [f"{_key(r)}: optimal with slack {r['min_slack']}" for r in records
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    packages = (load(argv[0], "wpduality_a"), load(argv[1], "wpduality_b"))
+    print(f"A = {os.path.abspath(argv[0])}\nB = {os.path.abspath(argv[1])}")
+    start = time.perf_counter()
+    solve_set = list(instances())
+    for package in packages:  # warm-up, untimed
+        run_one(package, *solve_set[0])
+    records_a, records_b, timings = [], [], []
+    repeats = [inst for inst in solve_set if inst[0] > 5] * (TIMING_PASSES - 1)
+    for index, inst in enumerate(solve_set + repeats):
+        results = [None, None]
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            results[side] = run_one(packages[side], *inst)
+        (rec_a, t_a), (rec_b, t_b) = results
+        timings.append((mix(inst), t_a, t_b))
+        if index < len(solve_set):
+            records_a.append(rec_a)
+            records_b.append(rec_b)
+    failures = [f"{_key(r)}: {r['status']}" for r in records_b if r["status"].startswith("raised")]
+    failures += [f"{_key(r)}: optimal with slack {r['min_slack']}" for r in records_b
                  if r["tol"] == CHECKED_TOL and r["status"] == "optimal"
                  and float(r["min_slack"]) < SLACK_FLOOR]
-    if len(argv) == 2:
-        with open(argv[1], encoding="utf-8") as fh:
-            failures += compare(records, [json.loads(line) for line in fh if line.strip()])
-    else:
-        print(dict(collections.Counter((r["tol"], r["status"]) for r in records)))
+    failures += compare(records_b, records_a)
+    same = sum(a == b for a, b in zip(records_a, records_b))
+    print(f"{same}/{len(records_b)} records of B equal A's in every field")
+    print("t_A/t_B, above 1 when B is faster:")
+    for name, (q1, median, q3, count) in timing_summary(timings).items():
+        print(f"  {name:>32}: median {median:.3f}, quartiles [{q1:.3f}, {q3:.3f}] "
+              f"over {count} solves")
     for line in failures:
         print("FAIL", line)
-    print(f"{len(records)} solves, {len(failures)} failures")
+    print(f"{len(records_b)} solves a side in {time.perf_counter() - start:.0f} s, "
+          f"{len(failures)} failures")
     return 1 if failures else 0
 
 
