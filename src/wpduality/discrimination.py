@@ -67,9 +67,7 @@ class SymmetricConfig:
     overlap: float
 
     def __post_init__(self):
-        n, c = self.n_paths, self.overlap
-        if n < 2:
-            raise ValidationError("need at least 2 paths")
+        n, c = matlin.integer_at_least(self.n_paths, 2, "n_paths"), self.overlap
         # PSD condition for the overlap matrix: eigenvalues 1+(N-1)c and 1-c.
         if not -1.0 / (n - 1) - 1e-12 <= c <= 1.0 + 1e-12:
             raise ValidationError(
@@ -86,9 +84,7 @@ class AsymmetricConfig:
     p: float
 
     def __post_init__(self):
-        n, p = self.n_paths, self.p
-        if n < 2:
-            raise ValidationError("need at least 2 paths")
+        n, p = matlin.integer_at_least(self.n_paths, 2, "n_paths"), self.p
         if not 1.0 / n - 1e-12 <= p <= 1.0 + 1e-12:
             raise ValidationError(f"p={p} outside [1/N, 1] for N={n}")
 
@@ -247,8 +243,8 @@ def random_config(n_paths: int, detector_dim: int, seed: int) -> InterferometerC
     dimension; priors are uniform on the simplex.  Deterministic for a fixed
     seed.
     """
-    if detector_dim < 1:
-        raise ValidationError("detector dimension must be at least 1")
+    n_paths = matlin.integer_at_least(n_paths, 2, "n_paths")
+    detector_dim = matlin.integer_at_least(detector_dim, 1, "detector_dim")
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((detector_dim, n_paths)) + 1j * rng.standard_normal(
         (detector_dim, n_paths)

@@ -1,41 +1,38 @@
 """Dense complex Hermitian linear algebra kernels.
 
 Eigendecomposition (LAPACK ``eigh`` behind a descending-order API), the one
-PSD rule (:func:`psd_spectrum`, which every accepted Gram matrix passes) and
-the one rank rule (:func:`numerical_support`), Gram-matrix factorization, and
-a factor-once linear solver.  Matrices are plain numpy arrays; the helpers
-here validate them, at fixed tolerances, instead of wrapping them in classes.
+PSD rule (:func:`psd_spectrum`, which every accepted Gram matrix passes), the
+one rank rule (:func:`numerical_support`), the one rule for counts
+(:func:`integer_at_least`), Gram-matrix factorization, and a factor-once
+linear solver.  Matrices are plain numpy arrays; the helpers here validate
+them, at fixed tolerances, instead of wrapping them in classes.
 
-:func:`lu_solver` LU-factors a square matrix once (LAPACK ``getrf``) and
-returns a function that solves for each right-hand side with the factor
-(``getrs``), where every ``np.linalg.solve`` call factors the matrix again.
-numpy has no factor-then-solve API, and scipy's would add its import to
-every start-up: on a 2-core VM, ``import scipy.linalg`` took 0.23-0.31 s
-more than ``import numpy`` alone and raised peak RSS from 27 to 55 MB, where
-a whole benchmark set-up takes about 0.25 s and peaks at 43-47 MB.  So the
-two routines are called through ``ctypes`` in the OpenBLAS that
-``numpy.linalg`` itself links (the ``scipy_*_64_`` symbols of numpy's wheels,
-64-bit integers).  ``np.linalg.solve`` runs the same ``getrf`` and ``getrs``
-inside ``gesv``, so with OpenBLAS on one thread the results are bitwise those
-of ``np.linalg.solve``; on more threads OpenBLAS chooses its serial or
-threaded kernels by different size rules in ``gesv`` and in
-``getrf``/``getrs``, and the last bits can differ.  Where the
-symbols are missing (a numpy built against another LAPACK), or the matrix
-is not a square float64 or complex128 one of order ``LU_MIN_ORDER`` or
-more, the returned function is ``np.linalg.solve``.  Inside an
-interior-point iteration, refactoring a small matrix for the second solve
-costs less than the three foreign calls of a factor and two solves: on a
-2-core VM, N = 16 solves at P_e = 0 (a real Schur matrix of order 16) ran
-about 2 % slower through them, and the factor wins from order 32.  A
-writable, F-contiguous matrix is factored in place, so the SDP solve hands
-over a Schur workspace it refills every iteration without a copy; any other
-matrix is copied, and left as it was.
+:func:`lu_solver` LU-factors (LAPACK ``zgetrf``) the one matrix the SDP
+solve refills every iteration at P_e > 0, a native complex128, writable,
+F-contiguous square matrix of order ``LU_MIN_ORDER`` or more, once and in
+place, and solves each right-hand side with the factor (``zgetrs``).  For
+any other matrix, or where numpy links another LAPACK, each solve is
+``np.linalg.solve``, which factors the matrix anew.  numpy has no
+factor-then-solve API, and scipy's import would cost every start-up
+0.23-0.31 s and raise peak RSS from 27 to 55 MB (2-core VM; a benchmark
+set-up takes about 0.25 s and 43-47 MB), so the two routines are called
+through ``ctypes`` in the OpenBLAS ``numpy.linalg`` links (the
+``scipy_*_64_`` symbols of numpy's wheels, 64-bit integers).
+``np.linalg.solve`` runs them inside ``zgesv``, so with OpenBLAS on one
+thread the results are bitwise its own; on more threads OpenBLAS picks its
+kernels by other size rules in ``zgesv``, and the last bits can differ.
+Below ``LU_MIN_ORDER`` refactoring for the second solve of an iteration
+costs less than three foreign calls: over 1440 P_e > 0 solves at N = 2-5
+(Schur orders 4-25; 2-core VM, BLAS on one thread, interleaved pairs) the
+median time ratio of ``LU_MIN_ORDER`` = 32 to 1 was 0.987, quartiles
+[0.941, 1.024].
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +43,7 @@ __all__ = [
     "ValidationError",
     "eig_hermitian",
     "hermitian",
+    "integer_at_least",
     "lu_solver",
     "numerical_support",
     "psd_spectrum",
@@ -64,6 +62,15 @@ class ValidationError(ValueError):
 
 class NotPsdError(ValidationError):
     """Matrix required to be positive semidefinite is not."""
+
+
+def integer_at_least(value, minimum: int, name: str) -> int:
+    """``value`` as an ``int``, or :class:`ValidationError` unless it is an
+    integral number of at least ``minimum``.  A bool is rejected although it
+    is an ``int``: ``True`` would pass as 1."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def hermitian(entries) -> np.ndarray:
@@ -152,27 +159,23 @@ def support_factor(dec: EigenDecomposition) -> np.ndarray:
 
 
 @functools.cache
-def _lapack() -> dict:
-    """``getrf`` and ``getrs`` of numpy's bundled OpenBLAS by dtype character
-    ("d" float64, "D" complex128), or an empty dict where numpy links another
-    LAPACK.  ``dlsym`` on ``numpy.linalg``'s extension module finds them in
-    the library that module links."""
+def _lapack():
+    """``zgetrf`` and ``zgetrs`` of numpy's bundled OpenBLAS, or ``None``
+    where numpy links another LAPACK.  ``dlsym`` on ``numpy.linalg``'s
+    extension module finds them in the library that module links."""
     try:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        routines = {char: (getattr(lib, f"scipy_{prefix}getrf_64_"),
-                           getattr(lib, f"scipy_{prefix}getrs_64_"))
-                    for char, prefix in (("d", "d"), ("D", "z"))}
+        getrf, getrs = lib.scipy_zgetrf_64_, lib.scipy_zgetrs_64_
     except (ImportError, OSError, AttributeError):
-        return {}
+        return None
     pointer = ctypes.c_void_p  # every argument is passed by reference
-    for getrf, getrs in routines.values():
-        getrf.argtypes = [pointer] * 6  # M, N, A, LDA, IPIV, INFO
-        # TRANS, N, NRHS, A, LDA, IPIV, B, LDB, INFO, then TRANS's hidden length
-        getrs.argtypes = [ctypes.c_char_p] + [pointer] * 8 + [ctypes.c_size_t]
-        getrf.restype = getrs.restype = None
-    return routines
+    getrf.argtypes = [pointer] * 6  # M, N, A, LDA, IPIV, INFO
+    # TRANS, N, NRHS, A, LDA, IPIV, B, LDB, INFO, then TRANS's hidden length
+    getrs.argtypes = [ctypes.c_char_p] + [pointer] * 8 + [ctypes.c_size_t]
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
 
 
 def _address(x: np.ndarray):
@@ -184,44 +187,39 @@ def _address(x: np.ndarray):
 def lu_solver(a):
     """Factor square ``a`` once; return ``solve(b)``, which solves a x = b.
 
-    Matrices of order below ``LU_MIN_ORDER`` are not factored here: each
-    solve is ``np.linalg.solve``.  A writable, F-contiguous ``a`` of a
-    factored dtype is factored in place: it holds the factors afterwards,
-    and the solves read them there, so it must not change until the last
-    one (pass a copy to keep the matrix).  Any other ``a`` is left as it is,
-    and the factor is taken in a copy.
-
-    ``b`` is a vector or a matrix of columns, with the dtype of ``a`` (or one
-    that casts to it within its kind); the result is a new C-contiguous array
-    as ``np.linalg.solve(a, b)`` returns it, bitwise equal to it with
-    OpenBLAS on one thread.  A singular ``a`` raises
-    ``np.linalg.LinAlgError("Singular matrix")``, here (at the first solve on
-    the ``np.linalg.solve`` fallback).
+    A native complex128, writable, F-contiguous ``a`` of order
+    ``LU_MIN_ORDER`` or more is factored in place, so it must not change
+    until the last solve; any other ``a`` is left as it is, and each solve
+    is ``np.linalg.solve(a, b)``.  ``b`` is a vector or a matrix of columns
+    that casts to complex128 within its kind; the result is a new
+    C-contiguous array, bitwise ``np.linalg.solve(a, b)`` with OpenBLAS on
+    one thread.  A singular ``a`` raises ``np.linalg.LinAlgError("Singular
+    matrix")``, here (at the first solve on the ``np.linalg.solve`` route).
     """
     a = np.asarray(a)
     n = a.shape[0] if a.ndim == 2 else 0
-    routines = _lapack().get(a.dtype.char) if a.dtype.isnative else None
-    if routines is None or a.shape != (n, n) or n < LU_MIN_ORDER:  # also stacked, non-square
+    routines = _lapack()
+    if (routines is None or a.dtype != np.complex128  # also a byte-swapped complex128
+            or a.shape != (n, n) or n < LU_MIN_ORDER  # also stacked, non-square
+            or not (a.flags.f_contiguous and a.flags.writeable)):
         return lambda b: np.linalg.solve(a, b)
     getrf, getrs = routines
-    in_place = a.flags.f_contiguous and a.flags.writeable
-    lu = a if in_place else np.array(a, order="F")  # getrf overwrites it with the factors
     pivots = np.empty(n, dtype=np.int64)
     # The closure holds the pointers, and each pointer keeps its object alive.
     info = ctypes.c_int64()
     n_ref, info_ref = ctypes.byref(ctypes.c_int64(n)), ctypes.byref(info)
-    lu_ref, pivots_ref = _address(lu), _address(pivots)
-    getrf(n_ref, n_ref, lu_ref, n_ref, pivots_ref, info_ref)
+    a_ref, pivots_ref = _address(a), _address(pivots)
+    getrf(n_ref, n_ref, a_ref, n_ref, pivots_ref, info_ref)  # overwrites a with the factors
     if info.value > 0:
         raise np.linalg.LinAlgError("Singular matrix")
 
     def solve(b):
-        x = np.asarray(b).astype(lu.dtype, order="F", casting="same_kind")
+        x = np.asarray(b).astype(np.complex128, order="F", casting="same_kind")
         if x.ndim not in (1, 2) or x.shape[0] != n:
             raise ValueError(f"right-hand side of shape {x.shape} for a {n} x {n} matrix")
         if x.size:
             nrhs = ctypes.byref(ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1))
-            getrs(b"N", n_ref, nrhs, lu_ref, n_ref, pivots_ref, _address(x), n_ref, info_ref, 1)
+            getrs(b"N", n_ref, nrhs, a_ref, n_ref, pivots_ref, _address(x), n_ref, info_ref, 1)
         return np.ascontiguousarray(x)
 
     return solve

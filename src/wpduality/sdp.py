@@ -41,12 +41,14 @@ and the corrector's reuses it.  At P_e = 0, b is the m-vector of ones, and
 since each constraint is rank one the Schur matrix is the real m x m matrix
 |q_i^H W_Y q_j|^2 + diag(w_s^2), with W_Y and w_s the scalings of Y and of
 the surpluses (the rank-one technique of DSDP, Benson, Ye & Zhang, SIAM J.
-Optim. 10, 2000).  Either way an iteration factors its Schur matrix once
-with ``matlin.lu_solver``, and both Newton steps (predictor and corrector)
-solve with that one LU factor (below order ``matlin.LU_MIN_ORDER``, where
-refactoring is cheaper, each solve is ``np.linalg.solve``); no Cholesky
-factor of the Schur matrix is needed.  At P_e > 0 the r^2 x r^2 arrays live
-in a workspace the core makes once per solve: the scalings' Gram product is
+Optim. 10, 2000).  At P_e > 0 an iteration factors T once with
+``matlin.lu_solver``, and both Newton steps (predictor and corrector) solve
+with that one LU factor (below order ``matlin.LU_MIN_ORDER``, where
+refactoring is cheaper, each solve is ``np.linalg.solve``).  At P_e = 0
+``lu_solver`` factors no real matrix: each Newton step solves the real
+m x m matrix anew with ``np.linalg.solve``.  No Cholesky factor of the
+Schur matrix is needed.  At P_e > 0 the r^2 x r^2 arrays live in a
+workspace the core makes once per solve: the scalings' Gram product is
 written into one buffer and T, in Fortran order, into another, which
 ``lu_solver`` factors in place, so an iteration allocates no array of the
 Schur matrix's size.  No other solve or inverse is taken: the PSD stack's
@@ -84,9 +86,10 @@ A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 G is decomposed once per configuration: ``build_problem`` hands the solve
 the configuration's ``weighted_spectrum``, which ``quantum`` also reads
 S(rho_p) from.  The answer stays in the solve's coordinates
-(``BlockSdpSolution``), the one form the read-back holds: ``PovmSet`` forms
-its operators on access, and ``povm_channel_statistics`` reads the block
-diagonals off the reduced variables, so the read-back decomposes nothing.
+(``BlockSdpSolution``), the one form the read-back holds: ``PovmSet`` keeps
+only the solution and forms its operators on access, and
+``povm_channel_statistics`` reads the block diagonals off the reduced
+variables, so the read-back decomposes nothing.
 """
 
 from __future__ import annotations
@@ -141,16 +144,12 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        # A bool passes the number checks below: True would mean tol 1.0, or 1 iteration.
+        # A bool passes the number check below: True would mean tol 1.0.
         tolerance = self.tolerance
         if isinstance(tolerance, bool) or not (
                 isinstance(tolerance, numbers.Real) and 0.0 < tolerance < math.inf):
             raise ValidationError(f"tolerance must be a finite real number > 0, got {tolerance!r}")
-        iterations = self.max_iterations
-        if isinstance(iterations, bool) or not (
-                isinstance(iterations, numbers.Integral) and iterations >= 1):
-            raise ValidationError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        matlin.integer_at_least(self.max_iterations, 1, "max_iterations")
 
 
 @dataclass(frozen=True)
@@ -171,12 +170,11 @@ class BlockSdpProblem:
     spectrum: matlin.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, decomposition):
-        # A bool passes the number checks below: True would mean budget 1.0, or 1 block.
-        budget, count = self.error_budget, self.block_count
+        # A bool passes the number check below: True would mean budget 1.0.
+        budget = self.error_budget
         if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
             raise ValidationError(f"error budget must be a real number, got {budget!r}")
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValidationError(f"block_count must be an integer, got {count!r}")
+        count = matlin.integer_at_least(self.block_count, 1, "block_count")
         g = matlin.hermitian(self.gram)
         if g.shape[0] != count:
             raise ValidationError("block_count must match the Gram dimension")
@@ -184,7 +182,7 @@ class BlockSdpProblem:
         if not 0.0 <= budget <= 1.0:
             raise ValidationError(f"error budget {budget} outside [0, 1]")
         object.__setattr__(self, "error_budget", float(budget))
-        object.__setattr__(self, "block_count", int(count))
+        object.__setattr__(self, "block_count", count)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "spectrum", spectrum)
         self.gram.setflags(write=False)
@@ -231,7 +229,7 @@ class BlockSdpSolution:
 def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpProblem:
     """Assemble the problem on the weighted Gram G_jk = sqrt(p_j p_k) <eta_j|eta_k>,
     with the configuration's one decomposition of it."""
-    return BlockSdpProblem(gram=cfg.weighted_gram, error_budget=float(error_budget),
+    return BlockSdpProblem(gram=cfg.weighted_gram, error_budget=error_budget,
                            block_count=cfg.n_paths, decomposition=cfg.weighted_spectrum)
 
 
@@ -703,16 +701,21 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
 class PovmSet:
     """Measurement operators read back from an optimal solution.
 
-    ``operators[j]``, formed from ``solution`` on each access, identifies
-    state j; ``failure_operator`` is the inconclusive outcome.  All act on
-    the solve's support of G, of dimension ``support_dim``;
-    ``rank_deficient`` flags a singular G.
+    It holds ``solution`` only, and forms the rest from it on each access:
+    ``operators[j]`` identifies state j, and ``failure_operator`` is the
+    inconclusive outcome.  All act on the solve's support of G, of
+    dimension ``support_dim``; ``rank_deficient`` flags a singular G.
     """
 
-    failure_operator: np.ndarray
-    support_dim: int
-    rank_deficient: bool
     solution: BlockSdpSolution = field(repr=False)
+
+    @property
+    def support_dim(self) -> int:
+        return self.solution.support.eigenvalues.size
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.support_dim < self.solution.support.eigenvectors.shape[0]
 
     @property
     def operators(self) -> list:
@@ -724,31 +727,35 @@ class PovmSet:
         v = inv_root[:, None] * sol.support.eigenvectors.conj().T  # column j is v_j
         return [w_j * np.outer(v_j, v_j.conj()) for w_j, v_j in zip(sol.reduced, v.T)]
 
+    @property
+    def failure_operator(self) -> np.ndarray:
+        """I - sum_j Pi_j, in one step."""
+        sol = self.solution
+        q = sol.support.eigenvectors
+        if sol.reduced.ndim == 3:
+            x = sol.reduced.sum(axis=0)
+        else:  # sum_j w_j Q^H e_j e_j^H Q
+            x = (q.conj().T * sol.reduced) @ q
+        inv_root = 1.0 / np.sqrt(sol.support.eigenvalues)
+        return _herm(np.eye(q.shape[1], dtype=np.complex128) - x * np.outer(inv_root, inv_root))
+
 
 def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmSet:
     """Read the POVM Pi_j with z_j = F^H Pi_j F off the solution, F = L^{1/2} Q^H.
 
     With L = diag(lambda), Pi_j = L^{-1/2} x_j L^{-1/2} at P_e > 0, and the
-    rank-one w_j v_j v_j^H with v_j = L^{-1/2} Q^H e_j at P_e = 0.  Only the
-    failure operator I - sum_j Pi_j is formed here, in one step.  ``cfg``
-    must have the solution's number of paths.
+    rank-one w_j v_j v_j^H with v_j = L^{-1/2} Q^H e_j at P_e = 0.  Nothing
+    is formed here: the solution must be optimal, and ``cfg`` must have its
+    number of paths.
     """
     if solution.status != "optimal":
         raise ValidationError(
             f"POVM extraction needs an optimal solution, got status {solution.status!r}"
         )
-    lam, q = solution.support.eigenvalues, solution.support.eigenvectors
-    n, r = q.shape
+    n = solution.support.eigenvectors.shape[0]
     if cfg.n_paths != n:
         raise ValidationError(f"configuration has {cfg.n_paths} paths, the solution {n}")
-    if solution.reduced.ndim == 3:
-        x = solution.reduced.sum(axis=0)
-    else:  # sum_j w_j Q^H e_j e_j^H Q
-        x = (q.conj().T * solution.reduced) @ q
-    inv_root = 1.0 / np.sqrt(lam)
-    failure = np.eye(r, dtype=np.complex128) - x * np.outer(inv_root, inv_root)
-    return PovmSet(failure_operator=_herm(failure), support_dim=r, rank_deficient=r < n,
-                   solution=solution)
+    return PovmSet(solution)
 
 
 def povm_channel_statistics(povm: PovmSet, cfg: InterferometerConfig) -> ChannelStatistics:

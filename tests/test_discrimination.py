@@ -40,6 +40,18 @@ class TestFamilyConfigs:
         with pytest.raises(matlin.ValidationError):
             disc.AsymmetricConfig(4, 0.2)
 
+    @pytest.mark.parametrize("make", [
+        lambda n: disc.SymmetricConfig(n, 0.3),
+        lambda n: disc.AsymmetricConfig(n, 0.5),
+        lambda n: disc.random_config(n, 3, 1),
+        lambda n: disc.random_config(3, n, 1),
+    ], ids=["symmetric", "asymmetric", "random-paths", "random-dim"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, "3"])
+    def test_rejects_non_integral_counts(self, make, n):
+        # True would count as 1, and 2.5 paths would give a closed-form number
+        with pytest.raises(matlin.ValidationError):
+            make(n)
+
     def test_materialized_configs_valid(self):
         cfg = disc.symmetric_interferometer(disc.SymmetricConfig(5, 0.6))
         assert cfg.n_paths == 5

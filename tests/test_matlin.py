@@ -199,7 +199,7 @@ class TestLuSolver:
         for columns in (0, 2):
             a, b = random_system(rng, n, dtype, columns)
             b_before = b.copy()
-            solve = matlin.lu_solver(a)
+            solve = matlin.lu_solver(np.array(a, order="F"))  # a copy lu_solver may factor in place
             for _ in range(2):  # the factor serves every call
                 x = solve(b)
                 assert x.dtype == dtype
@@ -211,15 +211,15 @@ class TestLuSolver:
     @pytest.mark.parametrize("n", [32, 64])
     def test_fortran_input_gives_the_same_bits(self, rng, n, dtype):
         a, b = random_system(rng, n, dtype, 2)
-        expected = matlin.lu_solver(a)(b)  # C order: factored in a copy
+        expected = matlin.lu_solver(a)(b)  # C order: np.linalg.solve
         assert np.array_equal(expected, np.linalg.solve(a, b))
         x = matlin.lu_solver(np.asfortranarray(a))(b)
         assert x.flags.c_contiguous
         assert np.array_equal(x, expected)
 
-    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("dtype", [np.complex128])  # the one dtype lu_solver factors
     def test_fortran_input_holds_the_factors(self, rng, dtype):
-        if not matlin._lapack():
+        if matlin._lapack() is None:
             pytest.skip("without the LAPACK symbols lu_solver factors nothing itself")
         n = 32
         a, b = random_system(rng, n, dtype, 0)
@@ -238,9 +238,10 @@ class TestLuSolver:
         lambda a: np.asfortranarray(a.astype(np.complex64)),  # lu_solver factors no complex64
         lambda a: np.asfortranarray(a.astype(a.dtype.newbyteorder())),
         read_only_fortran,
-    ], ids=["c-order", "complex64", "byteswapped", "read-only"])
-    def test_copies_what_it_cannot_factor_in_place(self, rng, make):
-        a, b = random_system(rng, 32, np.complex128, 0)
+        lambda a: np.asfortranarray(a.real),  # nor float64, although writable and F-ordered
+    ], ids=["c-order", "complex64", "byteswapped", "read-only", "float64"])
+    def test_leaves_what_it_cannot_factor_in_place_to_numpy(self, rng, make):
+        a, b = random_system(rng, 64, np.complex128, 0)
         given = make(a)
         before = given.copy()
         x = matlin.lu_solver(given)(b)
@@ -266,7 +267,7 @@ class TestLuSolver:
         if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
                 "openblas configuration", ""):
             pytest.skip("numpy does not bundle the 64-bit-integer scipy-openblas")
-        assert set(matlin._lapack()) == {"d", "D"}
+        assert matlin._lapack() is not None
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_singular_matrix_raises(self, dtype):
@@ -275,20 +276,18 @@ class TestLuSolver:
                 matlin.lu_solver(a.astype(dtype))(np.ones(a.shape[0], dtype=dtype))
 
     def test_rejects_mismatched_right_hand_side(self, rng):
-        a, _ = random_system(rng, 4, np.float64, 0)
-        solve = matlin.lu_solver(a)
+        a, _ = random_system(rng, 4, np.complex128, 0)
+        solve = matlin.lu_solver(np.asfortranarray(a))
         with pytest.raises(ValueError):
             solve(np.ones(3))
         with pytest.raises(ValueError):
             solve(np.ones((4, 2, 2)))
-        with pytest.raises(TypeError):  # a real factor cannot solve a complex b
-            solve(np.ones(4, dtype=np.complex128))
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_fallback_gives_the_same_bits(self, rng, monkeypatch, dtype):
         systems = [random_system(rng, n, dtype, columns) for n in (3, 16) for columns in (0, 2)]
-        lapack = [matlin.lu_solver(a)(b) for a, b in systems]
-        monkeypatch.setattr(matlin, "_lapack", lambda: {})
+        lapack = [matlin.lu_solver(np.array(a, order="F"))(b) for a, b in systems]
+        monkeypatch.setattr(matlin, "_lapack", lambda: None)
         for (a, b), x in zip(systems, lapack):
             assert np.array_equal(matlin.lu_solver(a)(b), x)
 
@@ -299,6 +298,6 @@ class TestLuSolver:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(len(a)) or solve(a, b))
         small, large = DEFAULT_LU_MIN_ORDER - 1, DEFAULT_LU_MIN_ORDER
         for n in (small, large):
-            a, b = random_system(rng, n, np.float64, 0)
-            matlin.lu_solver(a)(b)
+            a, b = random_system(rng, n, np.complex128, 0)
+            matlin.lu_solver(np.asfortranarray(a))(b)
         assert calls == ([small] if matlin._lapack() else [small, large])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wpduality import matlin, quantum, sdp
-from wpduality.discrimination import random_config
+from wpduality.discrimination import discriminate, random_config
 
 
 def sym_config(n, c):
@@ -118,6 +118,11 @@ class TestBuildProblem:
     def test_rejects_non_number_budget_and_count(self, gram, budget, count):
         with pytest.raises(matlin.ValidationError):
             sdp.BlockSdpProblem(gram, budget, count)
+        if type(count) is int:  # a bad budget: the routes from a configuration reject it too
+            cfg = random_config(3, 3, 1)
+            for route in (sdp.build_problem, discriminate):
+                with pytest.raises(matlin.ValidationError):
+                    route(cfg, budget)
 
     def test_stores_a_float_budget_and_an_int_count(self):
         problem = sdp.BlockSdpProblem(random_config(3, 3, 1).weighted_gram,
@@ -530,8 +535,8 @@ class TestSchurSystem:
             assert solution.status == "optimal"
             assert len(factors) == solution.iterations
             assert sum(solves for _, solves in factors) == 2 * solution.iterations
-            # np.linalg.solve runs only as lu_solver's fallback without LAPACK symbols.
-            assert counts["solve"] == (0 if matlin._lapack() else 2 * solution.iterations)
+            # lu_solver factors only the complex T of P_e > 0 itself, given the LAPACK symbols.
+            assert counts["solve"] == (0 if pe and matlin._lapack() else 2 * solution.iterations)
             assert counts["inv"] == 0
             assert counts["cholesky"] == 0
 
@@ -542,7 +547,7 @@ class TestSchurSystem:
         problems = [sdp.build_problem(random_config(n, n, 3), pe) for n in (3, 5, 12)]
         monkeypatch.setattr(matlin, "LU_MIN_ORDER", 1)  # factor even the small Schur matrices
         lapack = [sdp.solve(problem) for problem in problems]
-        monkeypatch.setattr(matlin, "_lapack", lambda: {})
+        monkeypatch.setattr(matlin, "_lapack", lambda: None)
         for problem, expected in zip(problems, lapack):
             solution = sdp.solve(problem)
             assert solution.status == expected.status == "optimal"
