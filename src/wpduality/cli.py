@@ -220,10 +220,16 @@ def cmd_figure2(args) -> int:
 
 
 def _holds_only_numbers(value) -> bool:
-    """True if a JSON value is a number, or nests only numbers in lists."""
-    if isinstance(value, list):
-        return all(_holds_only_numbers(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True if a JSON value is a number, or nests only numbers in lists.
+    Walked with a stack, so no depth of nesting recurses."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            return False
+    return True
 
 
 def _numeric_field(raw: dict, key: str, default=None) -> np.ndarray:
@@ -249,6 +255,8 @@ def _load_instance(path: str):
         raise ValidationError(
             f"instance file {path!r} is not valid JSON at line {exc.lineno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # json's decoder recurses once per nesting level
+        raise ValidationError(f"instance file {path!r} nests too deeply: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("instance file must contain a JSON object")
     for key in ("priors", "gram_re"):

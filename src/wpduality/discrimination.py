@@ -158,14 +158,15 @@ def symmetric_error_margin(
         P_f = c - 2 sqrt((1-c) P_e / (N-1)) - N P_e / (N-1),
 
     which reduces to P_f = c at P_e = 0 and reaches zero exactly at the
-    minimum-error budget.  Larger budgets are flagged and pinned to the
-    minimum-error point (P_f = 0, the extra budget is never used).
+    minimum-error budget.  Larger budgets, up to 1, are flagged and pinned to
+    the minimum-error point (P_f = 0, the extra budget is never used).  The
+    budget must be a real number in [0, 1], as for the SDP
+    (:func:`wpduality.matlin.probability`).
     """
     n, c = cfg.n_paths, cfg.overlap
     if not 0.0 <= c <= 1.0 + 1e-12:
         raise ValidationError("the closed form requires overlap in [0, 1]")
-    if error_budget < 0.0:
-        raise ValidationError("error budget must be nonnegative")
+    error_budget = matlin.probability(error_budget, "error budget")
     c = min(c, 1.0)
     pe_min = symmetric_min_error(cfg)
     exceeded = error_budget > pe_min

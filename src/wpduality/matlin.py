@@ -73,6 +73,17 @@ def integer_at_least(value, minimum: int, name: str) -> int:
     return int(value)
 
 
+def probability(value, name: str) -> float:
+    """``value`` as a ``float``, or :class:`ValidationError` unless it is a
+    real number in [0, 1].  A bool is rejected although it is a number:
+    ``True`` would pass as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} {value} outside [0, 1]")
+    return float(value)
+
+
 def hermitian(entries) -> np.ndarray:
     """Validate a square Hermitian matrix and return a canonicalized copy.
 

@@ -60,28 +60,32 @@ Newton steps, and the scaling keeps the conjugate transposes it reuses.
 
 Each problem keeps its variables in two parts, so each phase of an iteration
 is one batched numpy call per part: a stack of equal-size PSD blocks, a
-(k, d, d) array, and a nonnegative orthant held as a real vector.  At
-P_e > 0 they are z_1..z_N then the PSD slack (N+1, r, r), and the error
-row's slack (1,); at P_e = 0, Y (1, r, r) and the m surpluses (m,).  The
+(k, d, d) array, and a nonnegative orthant.  At P_e > 0 they are z_1..z_N
+then the PSD slack (N+1, r, r), and the error row's slack, one Python float;
+at P_e = 0, Y (1, r, r) and the m surpluses, a real vector (m,).  The
 orthant's NT scaling and step lengths have closed forms (the "linear blocks"
-of SDPT3, Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999), so an
-iteration factors only the PSD stack: two Cholesky factors, one SVD, and one
-``eigvalsh`` per Newton step on the primal and dual scaled directions
-together.  The two sides of the PSD stack live in one (2, k, d, d) stack
-throughout: the point [X, Z], whose two Cholesky factors are one call, each
-Newton step's directions [D_x, D_z], and their scaled directions, both
-sides' in two batched matmuls that the step lengths and the corrector read
-as they are.  Each entry comes from the same operations on the same numbers
-as it did one side at a time, so the stacking changes no bit of a solve.
-A step length needs only each side's smallest eigenvalue, so from
-``GERSHGORIN_MIN_BLOCKS`` blocks on that call solves only the blocks whose
-Gershgorin bound does not rule them out (Gershgorin, 1931), and returns the
-same minimum bit for bit: at P_e > 0 on an N = 48, rank-4 Gram about a
-quarter of the blocks, at N = 16 about 70 %.
+of SDPT3, Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999): elementwise
+numpy on the vector (``_OrthantScaling``), float arithmetic on the one
+error row (``_ScalarScaling``), whose operations are those numpy takes on a
+1-element vector, so the float changes no bit of a solve and saves the
+numpy calls on one number.  An iteration factors only the PSD stack: two
+Cholesky factors, one SVD, and one ``eigvalsh`` per Newton step on the
+primal and dual scaled directions together.  The two sides of the PSD stack
+live in one (2, k, d, d) stack throughout: the point [X, Z], whose two
+Cholesky factors are one call, each Newton step's directions [D_x, D_z],
+and their scaled directions, both sides' in two batched matmuls that the
+step lengths and the corrector read as they are.  Each entry comes from the
+same operations on the same numbers as it did one side at a time, so the
+stacking changes no bit of a solve.  A step length needs only each side's
+smallest eigenvalue, so from ``GERSHGORIN_MIN_BLOCKS`` blocks on that call
+solves only the blocks whose Gershgorin bound does not rule them out
+(Gershgorin, 1931), and returns the same minimum bit for bit: at P_e > 0 on
+an N = 48, rank-4 Gram about a quarter of the blocks, at N = 16 about 70 %.
 
 A solve never raises for a failed iteration.  Its status, ``"optimal"``,
 ``"max-iterations"``, ``"stalled"`` (step lengths collapsed) or
-``"breakdown"`` (a factorization or solve failed), says how it ended.
+``"breakdown"`` (a factorization or solve failed, or the error row's float
+arithmetic divided by zero), says how it ended.
 
 G is decomposed once per configuration: ``build_problem`` hands the solve
 the configuration's ``weighted_spectrum``, which ``quantum`` also reads
@@ -170,18 +174,13 @@ class BlockSdpProblem:
     spectrum: matlin.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, decomposition):
-        # A bool passes the number check below: True would mean budget 1.0.
-        budget = self.error_budget
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
-            raise ValidationError(f"error budget must be a real number, got {budget!r}")
+        budget = matlin.probability(self.error_budget, "error budget")
         count = matlin.integer_at_least(self.block_count, 1, "block_count")
         g = matlin.hermitian(self.gram)
         if g.shape[0] != count:
             raise ValidationError("block_count must match the Gram dimension")
         spectrum = matlin.psd_spectrum(g) if decomposition is None else decomposition
-        if not 0.0 <= budget <= 1.0:
-            raise ValidationError(f"error budget {budget} outside [0, 1]")
-        object.__setattr__(self, "error_budget", float(budget))
+        object.__setattr__(self, "error_budget", budget)
         object.__setattr__(self, "block_count", count)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "spectrum", spectrum)
@@ -339,6 +338,40 @@ class _OrthantScaling:
         return self.w * ((sigma_mu - self.lam ** 2 - du * dv) / self.lam)
 
 
+class _ScalarScaling:
+    """``_OrthantScaling`` of a one-element orthant part held as a float,
+    in float arithmetic: each operation is the IEEE double operation numpy
+    takes on a 1-element vector (``math.sqrt`` and ``np.sqrt`` are both
+    correctly rounded, and numpy's ``w ** 2`` on an array is ``w * w``),
+    so every result is that class's, bit for bit.  A pair is a tuple of two
+    floats.  Where numpy would give inf, a float division by zero (w or lam
+    underflowed) raises ``ZeroDivisionError``, which ends the solve as a
+    breakdown."""
+
+    __slots__ = ("w", "w_sq", "lam")
+
+    def __init__(self, x: float, z: float):
+        if not (x > 0.0 and z > 0.0):
+            raise np.linalg.LinAlgError("orthant point is not interior")
+        self.w = math.sqrt(x / z)
+        self.w_sq = self.w * self.w
+        self.lam = math.sqrt(x * z)
+
+    def wdw(self, d: float) -> float:
+        return self.w_sq * d
+
+    def scaled(self, pair) -> tuple:
+        return pair[0] / self.w, self.w * pair[1]
+
+    def max_steps(self, scaled) -> tuple[float, float]:
+        du, dv = scaled
+        return _step_to_boundary(du / self.lam), _step_to_boundary(dv / self.lam)
+
+    def corrector(self, scaled, sigma_mu: float) -> float:
+        du, dv = scaled
+        return self.w * ((sigma_mu - self.lam * self.lam - du * dv) / self.lam)
+
+
 def _lowest_eigenvalues(h: np.ndarray) -> tuple[float, float]:
     """The smallest eigenvalue over each side's blocks of the Hermitian stack
     h, shape (2, k, d, d), bitwise equal to
@@ -390,15 +423,26 @@ def _ct(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    h = m + _ct(m)
+def _herm(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    h = np.add(m, _ct(m), out=out)
     h /= 2.0
     return h
 
 
-def _norm(v: np.ndarray) -> np.floating:
+def _inner(a, b):
+    """The real part of <a, b>, ``np.vdot(a, b).real``; of two floats, their
+    product, what numpy takes for ``[a]`` and ``[b]``."""
+    if isinstance(a, float):
+        return a * b
+    return np.vdot(a, b).real
+
+
+def _norm(v) -> np.float64:
     """``np.linalg.norm(v)`` bit for bit, with the same operations, without
-    its argument handling."""
+    its argument handling; a float's is ``math.sqrt(v * v)``, what numpy
+    takes for ``[v]``."""
+    if isinstance(v, float):
+        return np.float64(math.sqrt(v * v))  # whose square overflows to inf, not an error
     v = v.ravel(order="K")
     if v.dtype.kind == "c":
         return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
@@ -414,12 +458,14 @@ def _norm(v: np.ndarray) -> np.floating:
 # objectives(x, y) -> (pobj, dobj) in P_f units: pobj is the failure
 # probability of the measurement the iterate encodes (from x at P_e > 0, from
 # the weights y at P_e = 0) and dobj the lower bound on it from the other side.
-# Each of x, z, C and A*(y) is a pair [PSD stack (k, d, d), orthant part (m,)]
-# as in the module docstring.  ``_run_ipm`` holds the PSD stacks of x and z
-# as one (2, k, d, d) stack [X, Z], as it does the Newton directions
-# [D_x, D_z], and the orthant parts, and their directions, as two vectors.
-# The scalings, one per part, give W D W, the scaled pair, the step lengths
-# to the boundary on both sides, and the corrector term.
+# Each of x, z, C and A*(y) is a pair [PSD stack (k, d, d), orthant part] as
+# in the module docstring: the orthant part is one float where the core has
+# one linear row (P_e > 0), a vector (m,) where it has m (P_e = 0), and the
+# core's ``orthant_scaling`` is the scaling class of that form.  ``_run_ipm``
+# holds the PSD stacks of x and z as one (2, k, d, d) stack [X, Z], as it
+# does the Newton directions [D_x, D_z], and the orthant parts, and their
+# directions, apart.  The scalings, one per part, give W D W, the scaled
+# pair, the step lengths to the boundary on both sides, and the corrector term.
 
 
 class _MarginCore:
@@ -427,11 +473,15 @@ class _MarginCore:
 
     Its Schur workspace, two r^2 x r^2 buffers, serves every iteration of
     the solve: the Gram product of the scalings, and T in Fortran order,
-    which ``lu_solver`` factors in place.
+    which ``lu_solver`` factors in place.  The error row's slack, its dual
+    and the row's multiplier t in A*(y) are floats.
     """
 
+    orthant_scaling = _ScalarScaling
+
     def __init__(self, gt: np.ndarray, qs: np.ndarray, pe: float):
-        self.b = np.concatenate([gt.reshape(-1), [pe]])
+        self.pe = float(pe)
+        self.b = np.concatenate([gt.reshape(-1), [self.pe]])
         self.r = gt.shape[0]
         self.n_var = qs.shape[0]
         self.gram_buf = np.empty((self.r ** 2, self.r ** 2), dtype=np.complex128)
@@ -440,30 +490,35 @@ class _MarginCore:
         # Cost -I on the variable blocks and 0 on the slacks.
         cost = np.zeros((self.n_var + 1, self.r, self.r), dtype=np.complex128)
         cost[: self.n_var] = -np.eye(self.r)
-        self.cost = [cost, np.zeros(1)]
+        self.cost = [cost, 0.0]
 
     def initial_point(self):
-        r, n = self.r, self.n_var
-        gt, pe = self.b[:-1].reshape(r, r), self.b[-1].real
+        r, n, pe = self.r, self.n_var, self.pe
+        gt = self.b[:-1].reshape(r, r)
         eps = float(np.diag(gt).real.min()) / (2.0 * n)
         total_beta = r * (n - 1.0)  # sum_j tr beta_j, as Q has orthonormal columns
         if total_beta > 0:
             eps = min(eps, pe / (2.0 * total_beta))
         eye = np.eye(r, dtype=np.complex128)
         x = [np.concatenate([np.broadcast_to(eps * eye, (n, r, r)), (gt - n * eps * eye)[None]]),
-             np.array([pe - eps * total_beta])]
+             pe - eps * total_beta]
         y = np.concatenate([-2.0 * eye.reshape(-1), [-1.0]])
-        z = [np.concatenate([eye + self.betas, 2.0 * eye[None]]), np.ones(1)]
+        z = [np.concatenate([eye + self.betas, 2.0 * eye[None]]), 1.0]
         return x, y, z
 
     def apply_a(self, blocks):
-        h = blocks[0].sum(axis=0)
-        s = blocks[1][0] + np.vdot(self.betas, blocks[0][: self.n_var]).real
-        return np.concatenate([h.reshape(-1), [s]])
+        out = np.empty(self.b.size, dtype=np.complex128)
+        blocks[0].sum(axis=0, out=out[:-1].reshape(self.r, self.r))
+        out[-1] = blocks[1] + np.vdot(self.betas, blocks[0][: self.n_var]).real
+        return out
 
     def apply_a_adjoint(self, y):
-        ym, t = y[:-1].reshape(self.r, self.r), y[-1].real
-        return [np.concatenate([ym + t * self.betas, ym[None]]), np.array([t])]
+        n = self.n_var
+        ym, t = y[:-1].reshape(self.r, self.r), y.item(-1).real
+        adj = np.empty((n + 1, self.r, self.r), dtype=np.complex128)
+        np.add(ym, np.multiply(t, self.betas, out=adj[:n]), out=adj[:n])
+        adj[n] = ym
+        return [adj, t]
 
     def objectives(self, x, y):
         pobj = 1.0 - np.trace(x[0][: self.n_var], axis1=1, axis2=2).real.sum()
@@ -478,7 +533,7 @@ class _MarginCore:
         self.t_buf.T.reshape(r, r, r, r)[...] = gram.reshape(r, r, r, r).transpose(1, 3, 0, 2)
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
-        kappa = scalings[1].w[0] ** 2 + np.vdot(self.betas, wbw).real
+        kappa = scalings[1].w ** 2 + np.vdot(self.betas, wbw).real
         t_solve = matlin.lu_solver(self.t_buf)  # factored in place
         t_inv_d = denom = None  # set by the first call, which solves for T^-1 d too
 
@@ -495,8 +550,10 @@ class _MarginCore:
             else:
                 u = t_solve(rhs[:-1])
             t_step = (rhs[-1].real - np.vdot(dvec, u).real) / denom
-            dm = _herm((u - t_step * t_inv_d).reshape(r, r))
-            return np.concatenate([dm.reshape(-1), [t_step]])
+            dy = np.empty(r * r + 1, dtype=np.complex128)
+            _herm((u - t_step * t_inv_d).reshape(r, r), out=dy[:-1].reshape(r, r))
+            dy[-1] = t_step
+            return dy
 
         return solve_fn
 
@@ -507,6 +564,8 @@ class _UsdCore:
     Its dual vector y is the weight vector w of the identifiable directions,
     and the dual slack is [G - sum_j w_j q_j q_j^H, w].
     """
+
+    orthant_scaling = _OrthantScaling
 
     def __init__(self, gt: np.ndarray, qs: np.ndarray):
         self.qs = qs  # row j is the unit row q_j of identifiable state j
@@ -555,15 +614,15 @@ def _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve):
 def _objectives_and_gap(core, x, y, z):
     """The core's two objectives in P_f units, and the gap <Z, X>."""
     pobj, dobj = core.objectives(x, y)
-    return pobj, dobj, sum(np.vdot(z_b, x_b).real for x_b, z_b in zip(x, z))
+    return pobj, dobj, sum(_inner(z_b, x_b) for x_b, z_b in zip(x, z))
 
 
 def _run_ipm(core, options: SolverOptions):
     x, y, z = core.initial_point()
-    xz = np.stack([x[0], z[0]])  # [X, Z]; each side's orthant part stays a vector
+    xz = np.stack([x[0], z[0]])  # [X, Z]; each side's orthant part stays apart
     x_orth, z_orth = x[1], z[1]
-    nu = float(x[0].shape[0] * x[0].shape[1] + x[1].size)
-    c_scale = 1.0 + np.sqrt(sum(np.vdot(c_b, c_b).real for c_b in core.cost))
+    nu = float(x[0].shape[0] * x[0].shape[1] + np.size(x[1]))
+    c_scale = 1.0 + np.sqrt(sum(_inner(c_b, c_b) for c_b in core.cost))
     b_scale = 1.0 + float(_norm(core.b))
     tol = options.tolerance
     status = "max-iterations"
@@ -595,7 +654,7 @@ def _run_ipm(core, options: SolverOptions):
         # faults (1 MB) per iteration at N = 16, P_e > 0.
         mu = gap / nu
         try:  # an NT scaling, the Schur factorization or a solve can fail
-            scalings = [_NtScaling(xz), _OrthantScaling(x_orth, z_orth)]
+            scalings = [_NtScaling(xz), core.orthant_scaling(x_orth, z_orth)]
             schur_solve = core.schur_solver(scalings)
             wrdw = [sc.wdw(rd_b) for sc, rd_b in zip(scalings, rd)]  # both steps use it
 
@@ -607,15 +666,16 @@ def _run_ipm(core, options: SolverOptions):
             psd, (dx_orth, dz_orth) = pairs_a
             trial = xz + np.array([alpha_p, alpha_d]).reshape(2, 1, 1, 1) * psd
             gap_aff = (np.vdot(trial[1], trial[0]).real
-                       + np.vdot(z_orth + alpha_d * dz_orth, x_orth + alpha_p * dx_orth).real)
-            sigma = min(1.0, max(1e-10, gap_aff / gap) ** 3)
+                       + _inner(z_orth + alpha_d * dz_orth, x_orth + alpha_p * dx_orth))
+            # A float, so a float orthant part stays one through the corrector.
+            sigma_mu = float(min(1.0, max(1e-10, gap_aff / gap) ** 3) * mu)
 
             # Corrector with the predictor's second-order term.
-            rc = [sc.corrector(scaled, sigma * mu) for sc, scaled in zip(scalings, scaled_a)]
+            rc = [sc.corrector(scaled, sigma_mu) for sc, scaled in zip(scalings, scaled_a)]
             dy, pairs = _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve)
             alpha_p, alpha_d = _step_lengths(
                 scalings, [sc.scaled(pair) for sc, pair in zip(scalings, pairs)], STEP_FRACTION)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, ArithmeticError):  # a float orthant part divides by 0
             status = "breakdown"
             break
         if max(alpha_p, alpha_d) < 1e-10:

@@ -280,6 +280,17 @@ class TestSolve:
         assert cli.main(["solve", str(inst), "--out", str(tmp_path / "r.json")]) == 2
         assert repr(field) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth,message", [
+        (900, "'gram_re' is not numeric"),  # json reads it; numpy has at most 64 axes
+        (3000, "nests too deeply"),  # json's decoder itself runs out of recursion
+    ])
+    def test_deeply_nested_field_exit_code(self, tmp_path, capsys, depth, message):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"priors": [0.5, 0.5], "gram_re": ' + "[" * depth + "1.0"
+                        + "]" * depth + "}")
+        assert cli.main(["solve", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_error_budget_takes_one_number(self, tmp_path):
         inst = tmp_path / "inst.json"
         write_instance(inst, [0.5, 0.5], [[1.0, 0.2], [0.2, 1.0]])

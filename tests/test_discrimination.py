@@ -187,6 +187,21 @@ class TestSymmetricErrorMargin:
         assert out.p_failure == 0.0
         assert out.p_error == pytest.approx(pe_min, abs=1e-12)
 
+    @pytest.mark.parametrize("budget", [True, 1.5, "0.1", -0.1, float("nan")])
+    def test_symmetric_route_rejects_what_the_sdp_route_does(self, budget):
+        """One budget rule on both routes of ``discriminate``: a real number,
+        not a bool, in [0, 1]."""
+        symmetric = disc.symmetric_interferometer(disc.SymmetricConfig(3, 0.3))
+        for cfg in (symmetric, disc.random_config(3, 3, 0)):
+            with pytest.raises(matlin.ValidationError):
+                disc.discriminate(cfg, budget)
+
+    def test_budget_up_to_one_flagged_on_the_symmetric_route(self):
+        cfg = disc.SymmetricConfig(3, 0.3)
+        out = disc.discriminate(disc.symmetric_interferometer(cfg), 1.0)
+        assert out.method == "analytic-symmetric" and out.budget_exceeded
+        assert out.p_error == pytest.approx(disc.symmetric_min_error(cfg), abs=1e-12)
+
     def test_failure_vanishes_at_min_error(self):
         for n, c in [(2, 0.5), (3, 0.4), (5, 0.7)]:
             cfg = disc.SymmetricConfig(n, c)

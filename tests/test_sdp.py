@@ -491,7 +491,8 @@ class TestSchurSystem:
         gt, q = support_gram(problem)
         core = sdp._MarginCore(gt, q.conj(), pe) if pe > 0 else sdp._UsdCore(gt, q.conj())
         x, _, z = core.initial_point()
-        scalings = [sdp._NtScaling(np.stack([x[0], z[0]])), sdp._OrthantScaling(x[1], z[1])]
+        # the error row's slack is a float at P_e > 0, the surpluses a vector at P_e = 0
+        scalings = [sdp._NtScaling(np.stack([x[0], z[0]])), core.orthant_scaling(x[1], z[1])]
         schur_solve = core.schur_solver(scalings)
         psd, orthant = scalings
         r = gt.shape[0]
@@ -875,6 +876,54 @@ class TestStackedBlocks:
         assert np.allclose(orthant.max_steps((du, dv)), psd.max_steps(scaled_b),
                            rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
+    def test_scalar_scaling_matches_one_element_orthant(self, scale):
+        """The float scaling of the error row gives, bit for bit, what
+        ``_OrthantScaling`` gives on the same numbers as 1-element vectors:
+        w, w^2, lam, W D W, the scaled pair, both step lengths (+inf where a
+        direction does not reach the boundary) and the corrector."""
+        rng = np.random.default_rng(9)
+        infinite = [0, 0]  # steps that do not reach the boundary, per side
+        for _ in range(200):
+            x, z = (float(v) for v in scale * rng.uniform(1e-3, 3.0, 2))
+            dx, dz, d = (float(v) for v in scale * rng.standard_normal(3))
+            sigma_mu = float(scale * scale * rng.uniform(0.0, 1.0))
+            scalar = sdp._ScalarScaling(x, z)
+            vector = sdp._OrthantScaling(np.array([x]), np.array([z]))
+            for got, want in [(scalar.w, vector.w), (scalar.w_sq, vector.w_sq),
+                              (scalar.lam, vector.lam), (scalar.wdw(d), vector.wdw(np.array([d])))]:
+                assert type(got) is float and same_bits(np.array([got]), want)
+            du, dv = scalar.scaled((dx, dz))
+            du_v, dv_v = vector.scaled((np.array([dx]), np.array([dz])))
+            assert same_bits(np.array([du]), du_v) and same_bits(np.array([dv]), dv_v)
+            for sign_u, sign_v in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)):
+                steps = scalar.max_steps((sign_u * abs(du), sign_v * abs(dv)))
+                want = vector.max_steps((sign_u * np.abs(du_v), sign_v * np.abs(dv_v)))
+                assert [repr(v) for v in steps] == [repr(v) for v in want]
+                infinite[0] += steps[0] == np.inf
+                infinite[1] += steps[1] == np.inf
+            corrector = scalar.corrector((du, dv), sigma_mu)
+            assert type(corrector) is float
+            assert same_bits(np.array([corrector]), vector.corrector((du_v, dv_v), sigma_mu))
+        assert infinite == [400, 400]  # every nonnegative direction, and only those
+
+    @pytest.mark.parametrize("x,z", [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0)])
+    def test_scalar_scaling_rejects_boundary_points(self, x, z):
+        """A point off the orthant's interior raises LinAlgError, as in
+        ``_OrthantScaling``; the solve ends as a breakdown."""
+        for scaling, point in ((sdp._ScalarScaling, (x, z)),
+                               (sdp._OrthantScaling, (np.array([x]), np.array([z])))):
+            with pytest.raises(np.linalg.LinAlgError):
+                scaling(*point)
+
+    def test_scalar_scaling_underflow_raises_an_arithmetic_error(self):
+        """Where w underflows to 0, the float division raises (numpy gave
+        inf); ``_run_ipm`` ends the solve as a breakdown on it."""
+        underflowed = sdp._ScalarScaling(1e-200, 1e200)
+        assert underflowed.w == 0.0
+        with pytest.raises(ZeroDivisionError):
+            underflowed.scaled((1.0, 1.0))
+
 
 def same_bits(a, b):
     """Bitwise equality of two arrays, signed zeros and NaN payloads included."""
@@ -966,3 +1015,15 @@ class TestStackedSides:
                 assert same_bits(got, want)
                 assert same_bits(got ** 2, want ** 2)
         assert same_bits(sdp._norm(np.zeros(shape)), np.linalg.norm(np.zeros(shape)))
+
+    def test_norm_of_a_float_is_numpy_norm(self):
+        """A float, the error row's part of a residual, as its 1-element vector."""
+        rng = np.random.default_rng(3)
+        for scale in (1.0, 1e-170, 1e-3, 1e150, 1e200):
+            for v in [0.0, -0.0] + [float(u) for u in scale * rng.standard_normal(20)]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # overflow at 1e200
+                    got, want = sdp._norm(v), np.linalg.norm([v])
+                    assert type(got) is np.float64
+                    assert same_bits(got, want)
+                    assert same_bits(got ** 2, want ** 2)

@@ -85,6 +85,14 @@ def test_timing_summary_per_mix(solve_set):
     assert list(summary) == ["fast", "slow"]
     assert summary["fast"] == (0.5, 1.0, 1.0, 5)  # ratios 0.25, 0.5, 1, 1, 2
     assert summary["slow"] == (1.5, 2.0, 2.5, 2)
+    # Each mix of the set in order of first appearance, and how many of its
+    # solves the timings hold: scan-small's P_e = 0 and P_e > 0 rows apart.
+    counts = {}
+    for inst in solve_set.instances():
+        counts[solve_set.mix(inst)] = counts.get(solve_set.mix(inst), 0) + 1
+    assert counts == {"N=2-5 P_e=0 (scan-small)": 720, "N=2-5 P_e>0 (scan-small)": 2160,
+                      "N=16 P_e=0 (solve-large-usd)": 3,
+                      "N=16 P_e>0 (solve-large-margin)": 9, "N=48 rank 4 (lowrank-wide)": 12}
 
 
 def test_same_checkout_twice_matches(solve_set, monkeypatch, capsys):
@@ -98,4 +106,6 @@ def test_same_checkout_twice_matches(solve_set, monkeypatch, capsys):
         assert sys.modules["wpduality_a"] is not sys.modules["wpduality_b"]
     out = capsys.readouterr().out
     assert "4/4 records of B equal A's in every field" in out
-    assert "over 4 solves" in out and "0 failures" in out
+    for row in ("N=2-5 P_e=0 (scan-small)", "N=2-5 P_e>0 (scan-small)"):
+        assert any(row in line and "over 2 solves" in line for line in out.splitlines())
+    assert "0 failures" in out

@@ -37,7 +37,9 @@ Only ``sdp.solve`` is timed.  Per mix of the shape of a benchmark workload
 (``perfbench/WORKLOADS.md``) it prints the median and quartiles of
 t_A / t_B, above 1 when B is faster, and the count of timed solves:
 
-* N = 2..5, every solve of the set: scan-small;
+* N = 2..5, P_e = 0 and P_e > 0 apart: the solves of scan-small.  The two
+  problems have cores of their own, so a change to one core shows on its
+  row, and the other row is the control;
 * N = 16, P_e = 0: solve-large-usd;
 * N = 16, P_e > 0: solve-large-margin;
 * N = 48, rank 4: lowrank-wide.
@@ -100,7 +102,7 @@ def mix(instance) -> str:
     """The timed mix of an instance, named by its benchmark workload."""
     n, _, _, budget, _ = instance
     if n <= 5:
-        return "N=2-5 (scan-small)"
+        return f"N=2-5 P_e{'=0' if budget == 0 else '>0'} (scan-small)"
     if n == 16 and budget == 0:
         return "N=16 P_e=0 (solve-large-usd)"
     if n == 16:
