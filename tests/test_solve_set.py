@@ -1,7 +1,7 @@
 """The solve-set gate, ``tools/solve_set.py``: ``compare`` on synthetic
 records, each rule its docstring states on both sides of its threshold; the
-timing summary on synthetic times; and a run on a few solves that loads this
-checkout as both sides."""
+timing summary on synthetic times; the call counts of one side; and a run on
+a few solves that loads this checkout as both sides."""
 
 import importlib.util
 import os
@@ -10,8 +10,8 @@ from unittest import mock
 
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "solve_set.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "solve_set.py")
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +81,14 @@ def test_wrong_argument_count_prints_usage(solve_set, capsys):
 def test_timing_summary_per_mix(solve_set):
     timings = [("fast", 1.0, t_b) for t_b in (0.5, 1.0, 2.0, 4.0, 1.0)]
     timings += [("slow", 3.0, 1.0), ("slow", 1.0, 1.0)]
+    timings += [((32, 0.05), 2.0, 1.0), ((32, 0.05), 3.0, 4.0), ((32, 0.05), 4.0, 2.0)]
     summary = solve_set.timing_summary(timings)
-    assert list(summary) == ["fast", "slow"]
-    assert summary["fast"] == (0.5, 1.0, 1.0, 5)  # ratios 0.25, 0.5, 1, 1, 2
-    assert summary["slow"] == (1.5, 2.0, 2.5, 2)
+    assert list(summary) == ["fast", "slow", (32, 0.05)]
+    # ratios 0.25, 0.5, 1, 1, 2; then the medians of t_A and of t_B
+    assert summary["fast"] == (0.5, 1.0, 1.0, 5, 1.0, 1.0)
+    assert summary["slow"] == (1.5, 2.0, 2.5, 2, 2.0, 1.0)
+    # A latency row's key is (N, budget); its ratios are 2, 0.75, 2.
+    assert summary[32, 0.05] == (1.375, 2.0, 2.0, 3, 3.0, 2.0)
     # Each mix of the set in order of first appearance, and how many of its
     # solves the timings hold: scan-small's P_e = 0 and P_e > 0 rows apart.
     counts = {}
@@ -96,16 +100,41 @@ def test_timing_summary_per_mix(solve_set):
 
 
 def test_same_checkout_twice_matches(solve_set, monkeypatch, capsys):
-    """Both package names load from one checkout and every record matches."""
+    """Both package names load from one checkout, every record matches, and
+    the latency rows and the large line print for both sides."""
     few = [(2, 2, seed, budget, 1e-7) for seed in range(2) for budget in (0.0, 0.3)]
     monkeypatch.setattr(solve_set, "instances", lambda: iter(few))
+    monkeypatch.setattr(solve_set, "SIZES", (2,))
+    monkeypatch.setattr(solve_set, "LARGE", (4, 0.5))
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-    root = os.path.dirname(os.path.dirname(TOOL))
     with mock.patch.dict(sys.modules):
-        assert solve_set.main([root, root]) == 0
+        assert solve_set.main([ROOT, ROOT]) == 0
         assert sys.modules["wpduality_a"] is not sys.modules["wpduality_b"]
     out = capsys.readouterr().out
     assert "4/4 records of B equal A's in every field" in out
     for row in ("N=2-5 P_e=0 (scan-small)", "N=2-5 P_e>0 (scan-small)"):
         assert any(row in line and "over 2 solves" in line for line in out.splitlines())
+    for budget in ("0   ", "0.05"):
+        row = next(line for line in out.splitlines() if f"N =  2, P_e = {budget}:" in line)
+        its_a, its_b = row.split("iterations ")[1].split(", calls/iter")[0].split(" | ")
+        calls_a, calls_b = row.split("calls/iter ")[1].split(" | ")
+        assert its_a == its_b and len(its_a.split("/")) == 3 and calls_a == calls_b
+    for side in "AB":
+        assert f"{side}: symmetric N = 4, c = 0.5, P_e = 0 optimal: solve " in out
     assert "0 failures" in out
+
+
+def test_calls_counted_through_each_sides_own_matlin(solve_set, monkeypatch):
+    """Counting A's calls patches A's ``matlin.lu_solver`` only: B's is not
+    called, and A's is restored afterwards."""
+    with mock.patch.dict(sys.modules):
+        package_a = solve_set.load(ROOT, "wpduality_a")
+        package_b = solve_set.load(ROOT, "wpduality_b")
+        lu_solver_a = package_a.matlin.lu_solver
+        b_calls = []
+        monkeypatch.setattr(package_b.matlin, "lu_solver", lambda a: b_calls.append(a))
+        calls = solve_set.calls_per_iteration(package_a, 2, 0.05)
+    factor, lu_solves = calls.split()[1].split("/")
+    assert float(factor) > 0 and float(lu_solves) >= float(factor)
+    assert not b_calls
+    assert package_a.matlin.lu_solver is lu_solver_a

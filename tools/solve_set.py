@@ -49,6 +49,22 @@ these mixes time at least 15, 15 and 40 solves; only the first pass makes
 their records.  Timing the two sides solve by solve in one process keeps a
 slow spell of the machine from falling on one side only.
 
+Then, with the same pairing and outside the gate (it makes no records), the
+single-solve latency table: ``random_config(n, n, s)`` for N in ``SIZES``,
+s < 3, at budgets 0 and 0.05, tolerance 1e-7.  Per N and budget it prints
+each side's median ms and iteration counts (a solve that does not end
+``"optimal"`` shows its status instead), the median and quartiles of
+t_A / t_B (``timing_summary``, the mixes' rule), and each side's calls per
+iteration of one more, untimed solve of the seed-0 instance: the
+``numpy.linalg`` ``eigvalsh``/``svd``/``cholesky``/``solve`` calls, the
+factorizations of the side's own ``matlin.lu_solver`` and the solves made
+with them, and the matrices the ``eigvalsh`` calls solve (the sum of each
+call's stacked leading dimensions).  Last, per side, one line for the
+symmetric family at N = 256, overlap 0.5, P_e = 0 (``LARGE``): the solve's
+ms, the read-back's ms (``extract_povm`` plus ``povm_channel_statistics``)
+and the ``tracemalloc`` peak of one more, untimed solve plus read-back.
+With A = B the table shows the noise floor of the ratios.
+
 BLAS is pinned to one thread before numpy loads, and the process to one CPU,
 as ``perfbench/run.py`` does: on more threads OpenBLAS picks its kernels by
 the host's thread count, and the last bits of the N = 16, P_e > 0 solves
@@ -64,6 +80,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -81,6 +98,11 @@ VALUES = ("objective", "dual_objective", "gap", "error_used", "min_slack")
 # Solves of each N = 16 and N = 48 instance: at P_e = 0 the set has 3, the
 # fewest of any mix, and a median over 3 ratios spreads several percent.
 TIMING_PASSES = 5
+SIZES = (2, 4, 8, 16, 24, 32)  # the latency table's N, at BUDGETS and SEEDS
+BUDGETS = (0.0, 0.05)
+SEEDS = range(3)
+LARGE = (256, 0.5)  # symmetric family: N, overlap; solved at P_e = 0
+COUNTED = ("eigvalsh", "svd", "cholesky", "solve")  # numpy.linalg functions
 
 
 def instances():
@@ -143,6 +165,16 @@ def run_one(package, n, dim, seed, budget, tol) -> tuple[dict, float]:
     return record, seconds
 
 
+def paired(packages, insts):
+    """Solve each instance with both sides, one right after the other, A
+    first on every other instance; yield ``(inst, (rec_a, t_a), (rec_b, t_b))``."""
+    for index, inst in enumerate(insts):
+        results = [None, None]
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            results[side] = run_one(packages[side], *inst)
+        yield inst, *results
+
+
 def _key(record) -> tuple:
     return record["n"], record["dim"], record["seed"], record["budget"], record["tol"]
 
@@ -195,15 +227,102 @@ def compare(records: list[dict], baseline: list[dict]) -> list[str]:
     return failures
 
 
-def timing_summary(timings) -> dict[str, tuple[float, float, float, int]]:
-    """Per mix, in order of first appearance, the lower quartile, median and
-    upper quartile of t_A / t_B and the solve count, from ``(mix, t_a, t_b)``
-    triples."""
-    ratios = collections.defaultdict(list)
+def timing_summary(timings) -> dict:
+    """Per mix, in order of first appearance, from ``(mix, t_a, t_b)``
+    triples: the lower quartile, median and upper quartile of t_A / t_B, the
+    solve count, and the median of t_A and of t_B."""
+    pairs = collections.defaultdict(list)
     for name, t_a, t_b in timings:
-        ratios[name].append(t_a / t_b)
-    return {name: (*statistics.quantiles(values, n=4, method="inclusive"), len(values))
-            for name, values in ratios.items()}
+        pairs[name].append((t_a, t_b))
+    return {name: (*statistics.quantiles([a / b for a, b in times], n=4, method="inclusive"),
+                   len(times), statistics.median(a for a, _ in times),
+                   statistics.median(b for _, b in times))
+            for name, times in pairs.items()}
+
+
+def calls_per_iteration(package, n: int, budget: float) -> str:
+    """Calls of each ``COUNTED`` function, then the factorizations of
+    ``package``'s ``matlin.lu_solver`` and the solves with them, then the
+    matrices ``eigvalsh`` solved, per iteration of one solve of the seed-0
+    instance with ``package``: "a/b/c/d f/s m"."""
+    sdp, matlin = package.sdp, package.matlin
+    problem = sdp.build_problem(package.discrimination.random_config(n, n, SEEDS[0]), budget)
+    counts = dict.fromkeys(COUNTED + ("factor", "lu solve", "eig matrices"), 0)
+    originals = {name: getattr(np.linalg, name) for name in COUNTED}
+    lu_solver = matlin.lu_solver
+
+    def counting(name):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            if name == "eigvalsh":
+                counts["eig matrices"] += int(np.prod(np.shape(args[0])[:-2]))
+            return originals[name](*args, **kwargs)
+        return wrapped
+
+    def counting_lu_solver(a):
+        counts["factor"] += 1
+        solve = lu_solver(a)
+
+        def counted(b):
+            counts["lu solve"] += 1
+            return solve(b)
+        return counted
+
+    for name in COUNTED:
+        setattr(np.linalg, name, counting(name))
+    matlin.lu_solver = counting_lu_solver
+    try:
+        iterations = sdp.solve(problem, sdp.SolverOptions(tolerance=CHECKED_TOL)).iterations
+    finally:
+        for name, func in originals.items():
+            setattr(np.linalg, name, func)
+        matlin.lu_solver = lu_solver
+    per = {name: f"{count / max(iterations, 1):g}" for name, count in counts.items()}
+    return ("/".join(per[name] for name in COUNTED)
+            + f" {per['factor']}/{per['lu solve']} {per['eig matrices']}")
+
+
+def latency_rows(packages) -> list[str]:
+    """The latency table, one line per N and budget (see the module docstring)."""
+    insts = [(n, n, seed, budget, CHECKED_TOL)
+             for n in SIZES for budget in BUDGETS for seed in SEEDS]
+    timings, iterations = [], collections.defaultdict(lambda: ([], []))
+    for (n, _, _, budget, _), *results in paired(packages, insts):
+        timings.append(((n, budget), results[0][1], results[1][1]))
+        for side, (rec, _) in enumerate(results):
+            iterations[n, budget][side].append(
+                str(rec["iterations"]) if rec["status"] == "optimal" else rec["status"])
+    rows = []
+    for (n, budget), (q1, median, q3, _, t_a, t_b) in timing_summary(timings).items():
+        its_a, its_b = ("/".join(its) for its in iterations[n, budget])
+        calls_a, calls_b = (calls_per_iteration(package, n, budget) for package in packages)
+        rows.append(f"  N = {n:2d}, P_e = {budget:<4g}: {1e3 * t_a:8.1f} | {1e3 * t_b:8.1f} ms,"
+                    f" t_A/t_B {median:.3f} [{q1:.3f}, {q3:.3f}],"
+                    f" iterations {its_a} | {its_b}, calls/iter {calls_a} | {calls_b}")
+    return rows
+
+
+def large_line(package) -> str:
+    """One P_e = 0 solve of the ``LARGE`` symmetric instance with ``package``
+    and its read-back: their ms, then the ``tracemalloc`` peak in MB of one
+    more solve plus read-back."""
+    disc, sdp = package.discrimination, package.sdp
+    cfg = disc.symmetric_interferometer(disc.SymmetricConfig(*LARGE))
+    problem = sdp.build_problem(cfg, 0.0)
+    start = time.perf_counter()
+    solution = sdp.solve(problem)
+    solve_ms = 1e3 * (time.perf_counter() - start)
+    start = time.perf_counter()
+    sdp.povm_channel_statistics(sdp.extract_povm(solution, cfg), cfg)
+    readback_ms = 1e3 * (time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        sdp.povm_channel_statistics(sdp.extract_povm(sdp.solve(problem), cfg), cfg)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return (f"{solution.status}: solve {solve_ms:.0f} ms, read-back {readback_ms:.1f} ms,"
+            f" solve plus read-back tracemalloc peak {peak_mb:.1f} MB")
 
 
 def main(argv: list[str]) -> int:
@@ -219,11 +338,8 @@ def main(argv: list[str]) -> int:
         run_one(package, *solve_set[0])
     records_a, records_b, timings = [], [], []
     repeats = [inst for inst in solve_set if inst[0] > 5] * (TIMING_PASSES - 1)
-    for index, inst in enumerate(solve_set + repeats):
-        results = [None, None]
-        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
-            results[side] = run_one(packages[side], *inst)
-        (rec_a, t_a), (rec_b, t_b) = results
+    for index, (inst, (rec_a, t_a), (rec_b, t_b)) in enumerate(
+            paired(packages, solve_set + repeats)):
         timings.append((mix(inst), t_a, t_b))
         if index < len(solve_set):
             records_a.append(rec_a)
@@ -236,9 +352,18 @@ def main(argv: list[str]) -> int:
     same = sum(a == b for a, b in zip(records_a, records_b))
     print(f"{same}/{len(records_b)} records of B equal A's in every field")
     print("t_A/t_B, above 1 when B is faster:")
-    for name, (q1, median, q3, count) in timing_summary(timings).items():
+    for name, (q1, median, q3, count, _, _) in timing_summary(timings).items():
         print(f"  {name:>32}: median {median:.3f}, quartiles [{q1:.3f}, {q3:.3f}] "
               f"over {count} solves")
+    print(f"latency, random_config(N, N, s), s < {len(SEEDS)}, A | B: median ms,"
+          " t_A/t_B median [quartiles], iterations per seed, calls/iter at seed 0;"
+          "\ncalls/iter: numpy.linalg " + "/".join(COUNTED) + ", then matlin.lu_solver"
+          " factorizations/solves, then the matrices eigvalsh solved")
+    for row in latency_rows(packages):
+        print(row, flush=True)
+    for side, package in zip("AB", packages):
+        print(f"{side}: symmetric N = {LARGE[0]}, c = {LARGE[1]:g}, P_e = 0 "
+              + large_line(package), flush=True)
     for line in failures:
         print("FAIL", line)
     print(f"{len(records_b)} solves a side in {time.perf_counter() - start:.0f} s, "
