@@ -320,7 +320,7 @@ class _OrthantScaling:
         if not (x.min() > 0.0 and z.min() > 0.0):
             raise np.linalg.LinAlgError("orthant point is not interior")
         self.w = np.sqrt(x / z)
-        self.w_sq = self.w ** 2  # W D W reads it three times an iteration
+        self.w_sq = self.w * self.w  # W D W reads it three times an iteration
         self.lam = np.sqrt(x * z)
 
     def wdw(self, d: np.ndarray) -> np.ndarray:
@@ -335,20 +335,19 @@ class _OrthantScaling:
 
     def corrector(self, scaled, sigma_mu: float) -> np.ndarray:
         du, dv = scaled
-        return self.w * ((sigma_mu - self.lam ** 2 - du * dv) / self.lam)
+        return self.w * ((sigma_mu - self.lam * self.lam - du * dv) / self.lam)
 
 
-class _ScalarScaling:
+class _ScalarScaling(_OrthantScaling):
     """``_OrthantScaling`` of a one-element orthant part held as a float,
     in float arithmetic: each operation is the IEEE double operation numpy
     takes on a 1-element vector (``math.sqrt`` and ``np.sqrt`` are both
-    correctly rounded, and numpy's ``w ** 2`` on an array is ``w * w``),
-    so every result is that class's, bit for bit.  A pair is a tuple of two
-    floats.  Where numpy would give inf, a float division by zero (w or lam
-    underflowed) raises ``ZeroDivisionError``, which ends the solve as a
-    breakdown."""
+    correctly rounded), so every result is that class's, bit for bit.  A
+    pair is a tuple of two floats.  Where numpy would give inf, a float
+    division by zero (w or lam underflowed) raises ``ZeroDivisionError``,
+    which ends the solve as a breakdown."""
 
-    __slots__ = ("w", "w_sq", "lam")
+    __slots__ = ()
 
     def __init__(self, x: float, z: float):
         if not (x > 0.0 and z > 0.0):
@@ -357,19 +356,9 @@ class _ScalarScaling:
         self.w_sq = self.w * self.w
         self.lam = math.sqrt(x * z)
 
-    def wdw(self, d: float) -> float:
-        return self.w_sq * d
-
-    def scaled(self, pair) -> tuple:
-        return pair[0] / self.w, self.w * pair[1]
-
     def max_steps(self, scaled) -> tuple[float, float]:
         du, dv = scaled
         return _step_to_boundary(du / self.lam), _step_to_boundary(dv / self.lam)
-
-    def corrector(self, scaled, sigma_mu: float) -> float:
-        du, dv = scaled
-        return self.w * ((sigma_mu - self.lam * self.lam - du * dv) / self.lam)
 
 
 def _lowest_eigenvalues(h: np.ndarray) -> tuple[float, float]:
