@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import discrimination as disc
-from . import duality, quantum, sdp
+from . import duality, matlin, quantum, sdp
 from .matlin import ValidationError
 
 __all__ = ["main", "console_main"]
@@ -102,10 +102,8 @@ def _n_paths(args) -> list[int]:
 
 def _error_budgets(text: str) -> list[float]:
     """An ``--error-budget`` list; every entry must be a number in [0, 1]."""
-    budgets = _parse_list(text, "--error-budget", float, "numbers")
-    if not all(0.0 <= pe <= 1.0 for pe in budgets):  # NaN fails the test too
-        raise ValidationError(f"--error-budget entries must lie in [0, 1], got {text!r}")
-    return budgets
+    return [matlin.probability(pe, "--error-budget")
+            for pe in _parse_list(text, "--error-budget", float, "numbers")]
 
 
 def _grid(start: float, args) -> np.ndarray:
@@ -270,9 +268,7 @@ def _load_instance(path: str):
     budget = _numeric_field(raw, "error_budget", 0.0)
     if budget.ndim != 0:
         raise ValidationError("field 'error_budget' must be a single number")
-    budget = float(budget)
-    if not 0.0 <= budget <= 1.0:
-        raise ValidationError(f"field 'error_budget' must lie in [0, 1], got {budget!r}")
+    budget = matlin.probability(float(budget), "field 'error_budget'")
     cfg = quantum.InterferometerConfig(priors, gram_re + 1j * gram_im)
     return cfg, budget
 
@@ -450,10 +446,13 @@ def _configure_logging() -> None:
 
 
 def _check_out(path: str | None) -> None:
-    """Reject an ``--out`` that names a directory or lies in a missing one,
-    before any work: ``scan`` and ``figure2`` write only after every solve."""
+    """Reject an empty ``--out``, or one that names a directory or lies in a
+    missing one, before any work: ``scan`` and ``figure2`` write only after
+    every solve."""
     if path is None:
         return
+    if not path:
+        raise ValidationError("--out must name a file, got ''")
     if os.path.isdir(path):
         raise ValidationError(f"--out {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):

@@ -394,14 +394,15 @@ class TestScan:
         assert not solves
 
     @pytest.mark.parametrize("command", ["scan", "figure2"])
-    @pytest.mark.parametrize("bad_out", ["missing/out", "."])
+    @pytest.mark.parametrize("bad_out", ["missing/out", ".", ""])
     def test_bad_out_exit_code(self, tmp_path, capsys, monkeypatch, command, bad_out):
-        """An --out in a missing directory, or naming a directory, is an input
-        error (exit 2) naming --out, found before any solve."""
+        """An empty --out, one in a missing directory, or one naming a
+        directory is an input error (exit 2) naming --out, found before any
+        solve."""
         solves = []
         monkeypatch.setattr(sdp, "solve", lambda *args: solves.append(args))
         assert cli.main([command, "--n-paths", "2", "--ensemble", "1",
-                         "--out", str(tmp_path / bad_out)]) == 2
+                         "--out", str(tmp_path / bad_out) if bad_out else ""]) == 2
         assert "--out" in capsys.readouterr().err
         assert not solves
 
