@@ -522,7 +522,7 @@ class _MarginCore:
         self.t_buf.T.reshape(r, r, r, r)[...] = gram.reshape(r, r, r, r).transpose(1, 3, 0, 2)
         wbw = ws[:n] @ self.betas @ ws[:n]
         dvec = wbw.sum(axis=0).reshape(-1)
-        kappa = scalings[1].w ** 2 + np.vdot(self.betas, wbw).real
+        kappa = scalings[1].w_sq + np.vdot(self.betas, wbw).real
         t_solve = matlin.lu_solver(self.t_buf)  # factored in place
         t_inv_d = denom = None  # set by the first call, which solves for T^-1 d too
 
