@@ -90,10 +90,11 @@ arithmetic divided by zero), says how it ended.
 G is decomposed once per configuration: ``build_problem`` hands the solve
 the configuration's ``weighted_spectrum``, which ``quantum`` also reads
 S(rho_p) from.  The answer stays in the solve's coordinates
-(``BlockSdpSolution``), the one form the read-back holds: ``PovmSet`` keeps
-only the solution and forms its operators on access, and
-``povm_channel_statistics`` reads the block diagonals off the reduced
-variables, so the read-back decomposes nothing.
+(``BlockSdpSolution``), the one form the read-back holds: the solution forms
+its POVM's operators, failure operator, support dimension and rank flag on
+access, ``extract_povm`` checks it against the configuration, and
+``povm_channel_statistics`` runs that check and reads the block diagonals
+off the reduced variables, so the read-back decomposes nothing.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ __all__ = [
     "BlockSdpProblem",
     "BlockSdpSolution",
     "NumericalBreakdownError",
-    "PovmSet",
     "SolverOptions",
     "build_problem",
     "extract_povm",
@@ -198,6 +198,12 @@ class BlockSdpSolution:
     probability 1 - tr Z (clamped to [0, 1]); ``slack_psd`` is G - sum z_j;
     ``error_used`` is tr(Z B); ``gap`` is the primal-dual objective
     difference at termination.
+
+    An optimal solution is its own POVM (check it with :func:`extract_povm`):
+    ``operators[j]`` identifies state j, and ``failure_operator`` is the
+    inconclusive outcome.  All act on the support, of dimension
+    ``support_dim``; ``rank_deficient`` flags a singular G.  Like ``blocks``,
+    each is formed anew on each access.
     """
 
     support: matlin.EigenDecomposition
@@ -223,6 +229,34 @@ class BlockSdpSolution:
         for j, w_j in enumerate(self.reduced):  # block j is w_j |j><j|
             blocks[j][j, j] = w_j
         return blocks
+
+    @property
+    def support_dim(self) -> int:
+        return self.support.eigenvalues.size
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.support_dim < self.support.eigenvectors.shape[0]
+
+    @property
+    def operators(self) -> list:
+        """The Pi_j of :func:`extract_povm`, one r x r array each."""
+        inv_root = 1.0 / np.sqrt(self.support.eigenvalues)
+        if self.reduced.ndim == 3:  # a real symmetric scaling keeps each x_j Hermitian
+            return list(self.reduced * np.outer(inv_root, inv_root))
+        v = inv_root[:, None] * self.support.eigenvectors.conj().T  # column j is v_j
+        return [w_j * np.outer(v_j, v_j.conj()) for w_j, v_j in zip(self.reduced, v.T)]
+
+    @property
+    def failure_operator(self) -> np.ndarray:
+        """I - sum_j Pi_j, in one step."""
+        q = self.support.eigenvectors
+        if self.reduced.ndim == 3:
+            x = self.reduced.sum(axis=0)
+        else:  # sum_j w_j Q^H e_j e_j^H Q
+            x = (q.conj().T * self.reduced) @ q
+        inv_root = 1.0 / np.sqrt(self.support.eigenvalues)
+        return _herm(np.eye(q.shape[1], dtype=np.complex128) - x * np.outer(inv_root, inv_root))
 
 
 def build_problem(cfg: InterferometerConfig, error_budget: float) -> BlockSdpProblem:
@@ -746,56 +780,14 @@ def solve(problem: BlockSdpProblem, options: SolverOptions | None = None) -> Blo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PovmSet:
-    """Measurement operators read back from an optimal solution.
+def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> BlockSdpSolution:
+    """Check that ``solution`` reads back as a POVM of ``cfg`` and return it.
 
-    It holds ``solution`` only, and forms the rest from it on each access:
-    ``operators[j]`` identifies state j, and ``failure_operator`` is the
-    inconclusive outcome.  All act on the solve's support of G, of
-    dimension ``support_dim``; ``rank_deficient`` flags a singular G.
-    """
-
-    solution: BlockSdpSolution = field(repr=False)
-
-    @property
-    def support_dim(self) -> int:
-        return self.solution.support.eigenvalues.size
-
-    @property
-    def rank_deficient(self) -> bool:
-        return self.support_dim < self.solution.support.eigenvectors.shape[0]
-
-    @property
-    def operators(self) -> list:
-        """The Pi_j of :func:`extract_povm`, one r x r array each."""
-        sol = self.solution
-        inv_root = 1.0 / np.sqrt(sol.support.eigenvalues)
-        if sol.reduced.ndim == 3:  # a real symmetric scaling keeps each x_j Hermitian
-            return list(sol.reduced * np.outer(inv_root, inv_root))
-        v = inv_root[:, None] * sol.support.eigenvectors.conj().T  # column j is v_j
-        return [w_j * np.outer(v_j, v_j.conj()) for w_j, v_j in zip(sol.reduced, v.T)]
-
-    @property
-    def failure_operator(self) -> np.ndarray:
-        """I - sum_j Pi_j, in one step."""
-        sol = self.solution
-        q = sol.support.eigenvectors
-        if sol.reduced.ndim == 3:
-            x = sol.reduced.sum(axis=0)
-        else:  # sum_j w_j Q^H e_j e_j^H Q
-            x = (q.conj().T * sol.reduced) @ q
-        inv_root = 1.0 / np.sqrt(sol.support.eigenvalues)
-        return _herm(np.eye(q.shape[1], dtype=np.complex128) - x * np.outer(inv_root, inv_root))
-
-
-def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmSet:
-    """Read the POVM Pi_j with z_j = F^H Pi_j F off the solution, F = L^{1/2} Q^H.
-
-    With L = diag(lambda), Pi_j = L^{-1/2} x_j L^{-1/2} at P_e > 0, and the
-    rank-one w_j v_j v_j^H with v_j = L^{-1/2} Q^H e_j at P_e = 0.  Nothing
-    is formed here: the solution must be optimal, and ``cfg`` must have its
-    number of paths.
+    The solution is its own POVM: its ``operators`` Pi_j, with z_j = F^H Pi_j F
+    and F = L^{1/2} Q^H, L = diag(lambda), are Pi_j = L^{-1/2} x_j L^{-1/2}
+    at P_e > 0 and the rank-one w_j v_j v_j^H with v_j = L^{-1/2} Q^H e_j at
+    P_e = 0.  Nothing is formed here: the solution must be optimal, and
+    ``cfg`` must have its number of paths.
     """
     if solution.status != "optimal":
         raise ValidationError(
@@ -804,13 +796,15 @@ def extract_povm(solution: BlockSdpSolution, cfg: InterferometerConfig) -> PovmS
     n = solution.support.eigenvectors.shape[0]
     if cfg.n_paths != n:
         raise ValidationError(f"configuration has {cfg.n_paths} paths, the solution {n}")
-    return PovmSet(solution)
+    return solution
 
 
-def povm_channel_statistics(povm: PovmSet, cfg: InterferometerConfig) -> ChannelStatistics:
-    """Joint outcome statistics of the extracted POVM on the configuration:
-    joint[x, j] = f_x^H Pi_j f_x = (z_j)_xx, read off the reduced variables."""
-    sol, n = povm.solution, cfg.n_paths
+def povm_channel_statistics(solution: BlockSdpSolution,
+                            cfg: InterferometerConfig) -> ChannelStatistics:
+    """Joint outcome statistics of the solution's POVM on the configuration:
+    joint[x, j] = f_x^H Pi_j f_x = (z_j)_xx, read off the reduced variables.
+    Checks ``solution`` and ``cfg`` as :func:`extract_povm` does."""
+    sol, n = extract_povm(solution, cfg), cfg.n_paths
     joint = np.zeros((n, n + 1))
     if sol.reduced.ndim == 3:  # (Q x_j Q^H)_xx
         q = sol.support.eigenvectors

@@ -331,6 +331,7 @@ class TestExtractPovm:
             for pe in (0.0, 0.05):
                 solution = sdp.solve(sdp.build_problem(cfg, pe))
                 povm = sdp.extract_povm(solution, cfg)
+                assert povm is solution
                 stats = sdp.povm_channel_statistics(povm, cfg)
                 assert stats.failure_prob == pytest.approx(solution.objective, abs=1e-6)
                 assert stats.error_prob == pytest.approx(solution.error_used, abs=1e-6)
@@ -392,17 +393,21 @@ class TestExtractPovm:
         assert peak < 4 * 2**20
         assert stats.failure_prob == pytest.approx(0.5, abs=1e-6)
 
-    def test_requires_optimal_status(self):
+    @pytest.mark.parametrize("read", [sdp.extract_povm, sdp.povm_channel_statistics],
+                             ids=["extract_povm", "povm_channel_statistics"])
+    def test_requires_optimal_status(self, read):
         cfg = sym_config(2, 0.4)
         solution = sdp.solve(sdp.build_problem(cfg, 0.0))
         bad = dataclasses.replace(solution, status="max-iterations", iterations=200)
         with pytest.raises(matlin.ValidationError):
-            sdp.extract_povm(bad, cfg)
+            read(bad, cfg)
 
-    def test_requires_the_solved_path_count(self):
+    @pytest.mark.parametrize("read", [sdp.extract_povm, sdp.povm_channel_statistics],
+                             ids=["extract_povm", "povm_channel_statistics"])
+    def test_requires_the_solved_path_count(self, read):
         solution = sdp.solve(sdp.build_problem(sym_config(2, 0.4), 0.0))
         with pytest.raises(matlin.ValidationError):
-            sdp.extract_povm(solution, sym_config(3, 0.4))
+            read(solution, sym_config(3, 0.4))
 
 
 class TestAsymmetricGram:
