@@ -94,10 +94,8 @@ def _parse_list(text: str, flag: str, convert, noun: str) -> list:
 
 def _n_paths(args) -> list[int]:
     """The ``--n-paths`` list; every entry must be at least 2."""
-    n_list = _parse_list(args.n_paths, "--n-paths", int, "integers")
-    if min(n_list) < 2:
-        raise ValidationError(f"--n-paths entries must be >= 2, got {args.n_paths!r}")
-    return n_list
+    return [matlin.integer_at_least(n, 2, "--n-paths")
+            for n in _parse_list(args.n_paths, "--n-paths", int, "integers")]
 
 
 def _error_budgets(text: str) -> list[float]:
@@ -108,9 +106,7 @@ def _error_budgets(text: str) -> list[float]:
 
 def _grid(start: float, args) -> np.ndarray:
     """``--grid`` evenly spaced points from ``start`` to 1; ``--grid`` must be >= 1."""
-    if args.grid < 1:
-        raise ValidationError(f"--grid must be >= 1, got {args.grid!r}")
-    return np.linspace(start, 1.0, args.grid)
+    return np.linspace(start, 1.0, matlin.integer_at_least(args.grid, 1, "--grid"))
 
 
 def _solver_options(args) -> sdp.SolverOptions:
@@ -133,10 +129,9 @@ def _sweep(args, n: int, budgets: list[float]):
     ``--min-coherence`` outside [0, 1), or after ``MAX_REJECTED_DRAWS``
     consecutive rejections."""
     options = _solver_options(args)
-    if args.ensemble < 1:
-        raise ValidationError(f"--ensemble must be >= 1, got {args.ensemble!r}")
-    if args.seed < 0:  # SeedSequence takes no negative entropy
-        raise ValidationError(f"--seed must be >= 0, got {args.seed!r}")
+    ensemble = matlin.integer_at_least(args.ensemble, 1, "--ensemble")
+    # SeedSequence takes no negative entropy.
+    seed = matlin.integer_at_least(args.seed, 0, "--seed")
     if not 0.0 <= args.min_coherence < 1.0:  # at 1 or above sampling would never end
         raise ValidationError(
             f"--min-coherence must lie in [0, 1), got {args.min_coherence!r}")
@@ -144,8 +139,8 @@ def _sweep(args, n: int, budgets: list[float]):
     produced = 0
     index = 0
     rejected = 0
-    while produced < args.ensemble:
-        cfg = disc.random_config(n, n, _config_seed(args.seed, index))
+    while produced < ensemble:
+        cfg = disc.random_config(n, n, _config_seed(seed, index))
         index += 1
         coherence_bits = quantum.coherence_rel_ent(cfg)
         if coherence_bits / log_n < args.min_coherence:

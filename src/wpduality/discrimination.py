@@ -242,11 +242,11 @@ def random_config(n_paths: int, detector_dim: int, seed: int) -> InterferometerC
 
     Detector states are normalized complex Gaussian vectors in the given
     dimension; priors are uniform on the simplex.  Deterministic for a fixed
-    seed.
+    seed, an integer >= 0.
     """
     n_paths = matlin.integer_at_least(n_paths, 2, "n_paths")
     detector_dim = matlin.integer_at_least(detector_dim, 1, "detector_dim")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(matlin.integer_at_least(seed, 0, "seed"))
     states = rng.standard_normal((detector_dim, n_paths)) + 1j * rng.standard_normal(
         (detector_dim, n_paths)
     )

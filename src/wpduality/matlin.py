@@ -46,6 +46,7 @@ __all__ = [
     "integer_at_least",
     "lu_solver",
     "numerical_support",
+    "probability",
     "psd_spectrum",
     "support_factor",
 ]

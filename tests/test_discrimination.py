@@ -45,7 +45,8 @@ class TestFamilyConfigs:
         lambda n: disc.AsymmetricConfig(n, 0.5),
         lambda n: disc.random_config(n, 3, 1),
         lambda n: disc.random_config(3, n, 1),
-    ], ids=["symmetric", "asymmetric", "random-paths", "random-dim"])
+        lambda n: disc.random_config(3, 3, n),
+    ], ids=["symmetric", "asymmetric", "random-paths", "random-dim", "random-seed"])
     @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, "3"])
     def test_rejects_non_integral_counts(self, make, n):
         # True would count as 1, and 2.5 paths would give a closed-form number

@@ -1,3 +1,4 @@
+import inspect
 import pathlib
 import re
 
@@ -15,6 +16,16 @@ def test_package_exports_every_module_name():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(wpduality, name) is getattr(mod, name)
+
+
+def test_module_exports_every_public_definition():
+    """Every public function and class a module defines is in its ``__all__``."""
+    for mod in MODULES:
+        defined = {name for name, obj in vars(mod).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == mod.__name__}
+        assert defined - set(mod.__all__) == set(), mod.__name__
 
 
 def test_one_psd_rule():
