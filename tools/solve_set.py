@@ -63,7 +63,11 @@ call's stacked leading dimensions).  Last, per side, one line for the
 symmetric family at N = 256, overlap 0.5, P_e = 0 (``LARGE``): the solve's
 ms, the read-back's ms (``extract_povm`` plus ``povm_channel_statistics``)
 and the ``tracemalloc`` peak of one more, untimed solve plus read-back.
-With A = B the table shows the noise floor of the ratios.
+With A = B the table shows the noise floor of the ratios.  Each latency row
+times 3 solves a side, and the N = 256 line one, so they resolve only large
+moves: on two solvers that make the same bits, a row can read t_A / t_B
+0.72 or 1.5.  For a move of a few percent read the mixes' rows, which time
+15 to 2160 solves.
 
 BLAS is pinned to one thread before numpy loads, and the process to one CPU,
 as ``perfbench/run.py`` does: on more threads OpenBLAS picks its kernels by
