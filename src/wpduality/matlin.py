@@ -3,7 +3,8 @@
 Eigendecomposition (LAPACK ``eigh`` behind a descending-order API), the one
 PSD rule (:func:`psd_spectrum`, which every accepted Gram matrix passes), the
 one rank rule (:func:`numerical_support`), the one rule for counts
-(:func:`integer_at_least`), Gram-matrix factorization, and a factor-once
+(:func:`integer_at_least`), Gram-matrix factorization, a per-matrix
+Cholesky test of a stack (:func:`cholesky_succeeds`), and a factor-once
 linear solver.  Matrices are plain numpy arrays; the helpers here validate
 them, at fixed tolerances, instead of wrapping them in classes.
 
@@ -36,11 +37,13 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "EigenDecomposition",
     "NotPsdError",
     "ValidationError",
+    "cholesky_succeeds",
     "eig_hermitian",
     "hermitian",
     "integer_at_least",
@@ -170,17 +173,32 @@ def support_factor(dec: EigenDecomposition) -> np.ndarray:
     return np.sqrt(support.eigenvalues)[:, None] * support.eigenvectors.conj().T
 
 
+def cholesky_succeeds(a: np.ndarray) -> np.ndarray:
+    """Per matrix of the complex stack ``a``, shape (..., n, n), whether its
+    Cholesky factorization succeeds: a boolean array of shape ``a.shape[:-2]``.
+
+    A finite matrix's flag is True exactly where ``np.linalg.cholesky``
+    returns its factor; a matrix with a NaN or inf entry in the lower
+    triangle, which is all the factorization reads, is False.  The input is
+    not written to, and no warning is raised.  ``np.linalg.cholesky`` raises
+    for the whole stack if one matrix fails, so this calls its gufunc,
+    ``cholesky_lo``, on the stack directly: a failed matrix comes back NaN,
+    and a matrix succeeds where its factor's diagonal is finite.
+    """
+    with np.errstate(invalid="ignore"):
+        factors = _umath_linalg.cholesky_lo(a, signature="D->D")
+    return np.isfinite(factors.diagonal(axis1=-2, axis2=-1)).all(axis=-1)
+
+
 @functools.cache
 def _lapack():
     """``zgetrf`` and ``zgetrs`` of numpy's bundled OpenBLAS, or ``None``
     where numpy links another LAPACK.  ``dlsym`` on ``numpy.linalg``'s
     extension module finds them in the library that module links."""
     try:
-        from numpy.linalg import _umath_linalg
-
         lib = ctypes.CDLL(_umath_linalg.__file__)
         getrf, getrs = lib.scipy_zgetrf_64_, lib.scipy_zgetrs_64_
-    except (ImportError, OSError, AttributeError):
+    except (OSError, AttributeError):
         return None
     pointer = ctypes.c_void_p  # every argument is passed by reference
     getrf.argtypes = [pointer] * 6  # M, N, A, LDA, IPIV, INFO

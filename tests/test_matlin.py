@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,45 @@ def random_system(rng, n, dtype, columns):
         return rng.standard_normal((n, n)), rng.standard_normal(shape)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestCholeskySucceeds:
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_flags_match_numpy_cholesky_per_matrix(self, rng, n):
+        """On a (3, 8, n, n) stack of Hermitian matrices with smallest
+        eigenvalues spread over [-1, 1] and some within 1e-15 of 0, each flag
+        is whether np.linalg.cholesky factors that matrix alone; a matrix with
+        a NaN or inf entry is False.  No warning; the input is unchanged."""
+        q = np.linalg.qr(rng.standard_normal((24, n, n)) + 1j * rng.standard_normal((24, n, n)))[0]
+        spectra = rng.uniform(0.5, 2.0, (24, n))
+        spectra[:, 0] = np.concatenate([rng.uniform(-1.0, 1.0, 12), rng.uniform(-1e-15, 1e-15, 12)])
+        stack = ((q * spectra[:, None, :]) @ q.conj().swapaxes(-1, -2)).reshape(3, 8, n, n)
+        stack = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+        bad = [(0, 0, 0, 0, np.nan), (1, 2, n - 1, 0, np.inf), (2, 7, n - 1, n - 1, -np.inf),
+               (2, 3, 0, 0, np.inf)]
+        for a, b, i, j, value in bad:
+            stack[a, b, i, j] = stack[a, b, j, i] = value
+        before = stack.copy()
+
+        def factors(matrix):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = matlin.cholesky_succeeds(stack)
+        assert flags.shape == (3, 8) and flags.dtype == bool
+        assert np.array_equal(stack, before, equal_nan=True)
+        non_finite = {(a, b) for a, b, *_ in bad}
+        for index in np.ndindex(3, 8):
+            if index in non_finite:
+                assert not flags[index]
+            else:
+                assert flags[index] == factors(stack[index])
+        assert 0 < np.count_nonzero(flags) < 24 - len(non_finite)
 
 
 def read_only_fortran(a):

@@ -664,10 +664,11 @@ class TestStackedBlocks:
         assert len(sizes) == 4 * solution.iterations
         assert min(sizes) == 4
 
-    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("d", [1, 4, sdp.CHOLESKY_MIN_ORDER])
     @pytest.mark.parametrize("primal", [True, False])
     def test_max_step_is_the_minimum_over_blocks(self, d, primal):
-        """On stacks below and above the Gershgorin block-count rule."""
+        """On stacks below and above the Gershgorin block-count rule, and of
+        orders on either side of the Cholesky certificate's."""
         for k in (5, sdp.GERSHGORIN_MIN_BLOCKS + 2):
             rng = np.random.default_rng(d)
 
@@ -731,14 +732,16 @@ class TestStackedBlocks:
 
     @pytest.mark.parametrize("k", [sdp.GERSHGORIN_MIN_BLOCKS - 1, sdp.GERSHGORIN_MIN_BLOCKS,
                                    sdp.GERSHGORIN_MIN_BLOCKS + 1, 49])
-    @pytest.mark.parametrize("d", [1, 4, 9])
+    @pytest.mark.parametrize("d", [1, 4, 9, 16])
     def test_lowest_eigenvalues_match_the_unfiltered_call(self, monkeypatch, k, d):
         """Bit for bit what one eigvalsh call on the whole stack gives, in one
         eigvalsh call, on random stacks: blocks spread out along the
-        diagonal, which the Gershgorin pass prunes, repeated blocks (ties),
-        blocks dominated by their off-diagonal entries with norm 1e9, and
-        scales 1e-9 and 1e9.  Below the block-count rule every block is
-        eigensolved."""
+        diagonal, which the Gershgorin pass and the Cholesky certificate
+        prune, repeated blocks (ties), blocks dominated by their off-diagonal
+        entries with norm 1e9, scales 1e-9 and 1e9, diagonal blocks (where
+        the Ritz bound is exact, so the certificate must still keep the
+        minimizing block), and a side's two lowest blocks made equal.  Below
+        the block-count rule every block is eigensolved."""
         rng = np.random.default_rng(100 * k + d)
         eigvalsh = np.linalg.eigvalsh
         solved = []  # matrices per eigvalsh call
@@ -754,6 +757,12 @@ class TestStackedBlocks:
             shifts = rng.uniform(-3.0, 3.0, shape[:2] + (1, 1))
             return shifts * np.eye(d) + 0.3 / d * hermitian(*shape)
 
+        def tied(h):  # each side's lowest block copied over its second lowest
+            lowest = np.argsort(eigvalsh(h)[..., 0], axis=1)
+            for side in (0, 1):
+                h[side, lowest[side, 1]] = h[side, lowest[side, 0]]
+            return h
+
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         off_diagonal = 1.0 - np.eye(d)
         for _ in range(10):
@@ -763,6 +772,8 @@ class TestStackedBlocks:
                 1e9 / d * hermitian(2, k, d, d) * off_diagonal + spread(2, k, d, d),
                 1e-9 * spread(2, k, d, d),
                 1e9 * spread(2, k, d, d),
+                rng.uniform(-3.0, 3.0, (2, k, 1, d)) * np.eye(d) + 0j,
+                tied(spread(2, k, d, d)),
             ]
             for h in stacks:
                 calls = len(solved)
@@ -775,13 +786,17 @@ class TestStackedBlocks:
         else:
             assert sum(solved) < 0.8 * 2 * k * len(solved)  # the spread stacks prune
 
-    @pytest.mark.parametrize("k", [3, sdp.GERSHGORIN_MIN_BLOCKS + 2])
-    def test_lowest_eigenvalues_of_non_finite_stacks(self, k):
-        """A NaN or inf entry, in the block the Gershgorin pass would prune
-        first, ends as in the unfiltered call, with no warning added: a NaN
-        minimum, or LinAlgError, on the same entries."""
+    @pytest.mark.parametrize("k,d", [
+        pytest.param(k, d, id=f"{k}" if d == 4 else f"{k}-{d}")
+        for d in (4, 16) for k in (3, sdp.GERSHGORIN_MIN_BLOCKS + 2)])
+    def test_lowest_eigenvalues_of_non_finite_stacks(self, k, d):
+        """A NaN or inf entry, in the block the Gershgorin pass or the
+        Cholesky certificate would prune first, ends as in the unfiltered
+        call, with no warning added (at order 16 the Ritz bounds' arithmetic
+        meets the entry too): a NaN minimum, or LinAlgError, on the same
+        entries.  eigvalsh returns NaN for an inf last diagonal entry and
+        raises for the others."""
         rng = np.random.default_rng(4)
-        d = 4
         noise = rng.standard_normal((2, k, d, d)) + 1j * rng.standard_normal((2, k, d, d))
         h = sdp._herm(rng.uniform(-3.0, 3.0, (2, k, 1, 1)) * np.eye(d) + 0.3 * noise)
         outcomes = set()
@@ -790,7 +805,7 @@ class TestStackedBlocks:
             for side in (0, 1):
                 highest = int(np.argmax(h[side].real.diagonal(axis1=-2, axis2=-1).min(axis=-1)))
                 for (i, j), value in [((0, 2), np.nan), ((1, 1), np.nan), ((0, 2), np.inf),
-                                      ((3, 3), np.inf), ((3, 3), -np.inf)]:
+                                      ((d - 1, d - 1), np.inf), ((d - 1, d - 1), -np.inf)]:
                     bad = h.copy()
                     bad[side, highest, i, j] = bad[side, highest, j, i] = value
                     try:
@@ -804,6 +819,30 @@ class TestStackedBlocks:
                     assert [repr(float(v)) for v in got] == [repr(float(v)) for v in want]
                     outcomes.add("nan" if np.isnan(want[side]) else "number")
         assert outcomes == {"raised", "nan"}
+
+    def test_certificate_prunes_the_order_16_margin_solve(self, monkeypatch):
+        """At N = 16, P_e = 0.05 (blocks of order 16, at or above
+        ``CHOLESKY_MIN_ORDER``) each Newton step makes one certificate call on
+        both sides' blocks, and eigvalsh solves at most 12 of an iteration's
+        68 blocks (8.3 on this instance; 43.8 under the Gershgorin pass)."""
+        eigvalsh, succeeds = np.linalg.eigvalsh, matlin.cholesky_succeeds
+        solved, certified = [], []
+
+        def counting_eigvalsh(a):
+            solved.append(int(np.prod(a.shape[:-2])))
+            return eigvalsh(a)
+
+        def counting_succeeds(a):
+            certified.append(a.shape)
+            return succeeds(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(matlin, "cholesky_succeeds", counting_succeeds)
+        solution = sdp.solve(sdp.build_problem(random_config(16, 16, 0), 0.05))
+        assert solution.status == "optimal"
+        assert len(solved) == len(certified) == 2 * solution.iterations
+        assert set(certified) == {(2, 17, 16, 16)}
+        assert sum(solved) <= 12 * solution.iterations
 
     @pytest.mark.parametrize("n,rank,seeds,budgets", [
         (48, 4, range(4), (0.05, 0.2)),
