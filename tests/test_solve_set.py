@@ -138,3 +138,23 @@ def test_calls_counted_through_each_sides_own_matlin(solve_set, monkeypatch):
     assert float(factor) > 0 and float(lu_solves) >= float(factor)
     assert not b_calls
     assert package_a.matlin.lu_solver is lu_solver_a
+
+
+def test_certificate_counted_through_each_sides_own_matlin(solve_set, monkeypatch):
+    """The last field counts the matrices A's ``matlin.cholesky_succeeds``
+    factors, at N = 12 where the step lengths call it; B's is not called, A's
+    is restored, and a side without the helper reads 0."""
+    with mock.patch.dict(sys.modules):
+        package_a = solve_set.load(ROOT, "wpduality_a")
+        package_b = solve_set.load(ROOT, "wpduality_b")
+        succeeds_a = package_a.matlin.cholesky_succeeds
+        b_calls = []
+        monkeypatch.setattr(package_b.matlin, "cholesky_succeeds", lambda a: b_calls.append(a))
+        certified = solve_set.calls_per_iteration(package_a, 12, 0.05).split()[-1]
+        assert package_a.matlin.cholesky_succeeds is succeeds_a
+        monkeypatch.delattr(package_a.matlin, "cholesky_succeeds")
+        monkeypatch.setattr(package_a.sdp, "CHOLESKY_MIN_ORDER", 10 ** 9)
+        without = solve_set.calls_per_iteration(package_a, 12, 0.05).split()[-1]
+    assert float(certified) == 2 * 2 * 13  # two calls an iteration, each on 2 x 13 blocks
+    assert without == "0"
+    assert not b_calls

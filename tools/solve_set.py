@@ -58,8 +58,10 @@ t_A / t_B (``timing_summary``, the mixes' rule), and each side's calls per
 iteration of one more, untimed solve of the seed-0 instance: the
 ``numpy.linalg`` ``eigvalsh``/``svd``/``cholesky``/``solve`` calls, the
 factorizations of the side's own ``matlin.lu_solver`` and the solves made
-with them, and the matrices the ``eigvalsh`` calls solve (the sum of each
-call's stacked leading dimensions).  Last, per side, one line for the
+with them, the matrices the ``eigvalsh`` calls solve (the sum of each
+call's stacked leading dimensions), and the matrices the side's own
+``matlin.cholesky_succeeds`` factors, the step lengths' certificate (0 for
+a side without it).  Last, per side, one line for the
 symmetric family at N = 256, overlap 0.5, P_e = 0 (``LARGE``): the solve's
 ms, the read-back's ms (``extract_povm`` plus ``povm_channel_statistics``)
 and the ``tracemalloc`` peak of one more, untimed solve plus read-back.
@@ -247,13 +249,16 @@ def timing_summary(timings) -> dict:
 def calls_per_iteration(package, n: int, budget: float) -> str:
     """Calls of each ``COUNTED`` function, then the factorizations of
     ``package``'s ``matlin.lu_solver`` and the solves with them, then the
-    matrices ``eigvalsh`` solved, per iteration of one solve of the seed-0
-    instance with ``package``: "a/b/c/d f/s m"."""
+    matrices ``eigvalsh`` solved, then the matrices ``package``'s
+    ``matlin.cholesky_succeeds`` factored (0 where it has none), per
+    iteration of one solve of the seed-0 instance with ``package``:
+    "a/b/c/d f/s m c"."""
     sdp, matlin = package.sdp, package.matlin
     problem = sdp.build_problem(package.discrimination.random_config(n, n, SEEDS[0]), budget)
-    counts = dict.fromkeys(COUNTED + ("factor", "lu solve", "eig matrices"), 0)
+    counts = dict.fromkeys(COUNTED + ("factor", "lu solve", "eig matrices", "certified"), 0)
     originals = {name: getattr(np.linalg, name) for name in COUNTED}
     lu_solver = matlin.lu_solver
+    succeeds = getattr(matlin, "cholesky_succeeds", None)
 
     def counting(name):
         def wrapped(*args, **kwargs):
@@ -272,18 +277,26 @@ def calls_per_iteration(package, n: int, budget: float) -> str:
             return solve(b)
         return counted
 
+    def counting_succeeds(a):
+        counts["certified"] += int(np.prod(np.shape(a)[:-2]))
+        return succeeds(a)
+
     for name in COUNTED:
         setattr(np.linalg, name, counting(name))
     matlin.lu_solver = counting_lu_solver
+    if succeeds is not None:
+        matlin.cholesky_succeeds = counting_succeeds
     try:
         iterations = sdp.solve(problem, sdp.SolverOptions(tolerance=CHECKED_TOL)).iterations
     finally:
         for name, func in originals.items():
             setattr(np.linalg, name, func)
         matlin.lu_solver = lu_solver
+        if succeeds is not None:
+            matlin.cholesky_succeeds = succeeds
     per = {name: f"{count / max(iterations, 1):g}" for name, count in counts.items()}
     return ("/".join(per[name] for name in COUNTED)
-            + f" {per['factor']}/{per['lu solve']} {per['eig matrices']}")
+            + f" {per['factor']}/{per['lu solve']} {per['eig matrices']} {per['certified']}")
 
 
 def latency_rows(packages) -> list[str]:
@@ -362,7 +375,8 @@ def main(argv: list[str]) -> int:
     print(f"latency, random_config(N, N, s), s < {len(SEEDS)}, A | B: median ms,"
           " t_A/t_B median [quartiles], iterations per seed, calls/iter at seed 0;"
           "\ncalls/iter: numpy.linalg " + "/".join(COUNTED) + ", then matlin.lu_solver"
-          " factorizations/solves, then the matrices eigvalsh solved")
+          " factorizations/solves, then the matrices eigvalsh solved, then the matrices"
+          " matlin.cholesky_succeeds factored")
     for row in latency_rows(packages):
         print(row, flush=True)
     for side, package in zip("AB", packages):
