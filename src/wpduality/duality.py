@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matlin
 from .discrimination import DiscriminationOutcome
 from .matlin import ValidationError
 from .quantum import InterferometerConfig, binary_entropy, coherence_rel_ent
@@ -84,7 +85,10 @@ def error_margin_surface(n_paths: int, p_error: float, p_failure: float) -> floa
 
     This is the surface the normalized coherence of any physical strategy
     must stay below; NaN where P_e exceeds the conclusive probability.
+    ``n_paths`` must be an integer of at least 2, or
+    :class:`~wpduality.matlin.ValidationError` is raised.
     """
+    n_paths = matlin.integer_at_least(n_paths, 2, "n_paths")
     if p_error > 1.0 - p_failure + 1e-12:
         return float("nan")
     return _normalized_margin_lhs(n_paths, p_error, p_failure)

@@ -230,8 +230,8 @@ class ChannelStatistics:
 
     def __post_init__(self):
         j = np.asarray(self.joint, dtype=np.float64)
-        if j.ndim != 2 or j.shape[1] != j.shape[0] + 1:
-            raise ValidationError(f"joint must have shape (N, N+1), got {j.shape}")
+        if j.ndim != 2 or j.shape[0] < 1 or j.shape[1] != j.shape[0] + 1:
+            raise ValidationError(f"joint must have shape (N, N+1) with N >= 1, got {j.shape}")
         if not np.all(np.isfinite(j)):
             raise ValidationError("joint contains NaN or Inf")
         if j.min() < -1e-10:

@@ -131,6 +131,13 @@ class TestBoundSurface:
     def test_surface_nan_outside_domain(self):
         assert np.isnan(duality.error_margin_surface(3, 0.6, 0.5))
 
+    @pytest.mark.parametrize("n_paths,p_error,p_failure", [
+        (1, 0.0, 0.0), (True, 0.0, 0.5), (0, 0.0, 0.5), (2.5, 0.1, 0.2)])
+    def test_surface_rejects_a_path_count_below_two_or_not_integral(self, n_paths, p_error,
+                                                                    p_failure):
+        with pytest.raises(matlin.ValidationError, match="n_paths"):
+            duality.error_margin_surface(n_paths, p_error, p_failure)
+
 
 class TestNoViolationSweeps:
     def test_analytic_families_and_random_ensemble(self, rng):

@@ -247,6 +247,11 @@ class TestChannelStatistics:
         with pytest.raises(matlin.ValidationError):
             quantum.ChannelStatistics(joint)
 
+    def test_rejects_empty_joint(self):
+        """N = 0, shape (0, 1): numpy's min of an empty array raised before."""
+        with pytest.raises(matlin.ValidationError, match="N >= 1"):
+            quantum.ChannelStatistics(np.zeros((0, 1)))
+
 
 class TestMutualInformation:
     def test_independent_is_zero(self):
