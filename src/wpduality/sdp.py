@@ -144,11 +144,11 @@ GERSHGORIN_MARGIN = 1e-8  # both rules' pruning margin, relative to the largest 
 # From this block order on, the pruning pass is Ritz bounds and a Cholesky
 # certificate instead of Gershgorin's.  It eigensolves fewer blocks (at
 # N = 16, P_e = 0.05 13 % against 70 %) but costs more numpy calls: per call
-# on stacks recorded from P_e = 0.05 solves (2-core VM, BLAS on one thread),
-# Gershgorin -> Ritz + Cholesky, order 4 (N = 48, rank 4) 185 -> 331 us,
-# 8 117 -> 128, 9 137 -> 141, 10 155 -> 149, 12 257 -> 186, 16 493 -> 277
-# and 24 1328 -> 700 us.
-CHOLESKY_MIN_ORDER = 10
+# on stacks recorded from P_e > 0 solves (2-core VM, BLAS on one thread),
+# Gershgorin -> Ritz + Cholesky, order 4 (N = 48, rank 4) 94 -> 149 us,
+# 6 75 -> 107, 7 95 -> 110, 8 124 -> 116, 9 136 -> 116, 12 249 -> 160,
+# 16 489 -> 255 and 24 1317 -> 638 us.
+CHOLESKY_MIN_ORDER = 8
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -466,10 +466,12 @@ def _ritz_bounds(h: np.ndarray, diag: np.ndarray) -> np.ndarray:
     entry's modulus first, so no square underflows or overflows.  Callers
     silence invalid: the NaNs of r = 0 are dropped by the ``where``, and any
     other comes from a NaN or inf entry."""
-    i = diag.argmin(axis=-1)[..., None]  # (2, k, 1)
-    h_ii = np.take_along_axis(diag, i, axis=-1)[..., 0]
-    r = np.take_along_axis(h, i[..., None], axis=-1)[..., 0]  # column i, (2, k, d)
-    np.put_along_axis(r, i, 0.0, axis=-1)
+    k, d = h.shape[1], h.shape[-1]
+    blocks, i = np.arange(2 * k), diag.argmin(axis=-1).ravel()
+    h_ii = diag.min(axis=-1)
+    r = h.reshape(2 * k, d, d)[blocks, :, i]  # column i of each block, (2k, d)
+    r[blocks, i] = 0.0
+    r = r.reshape(2, k, d)
     scale = np.abs(r).max(axis=-1)
     q = r / scale[..., None]
     q_conj = q.conj()
