@@ -45,8 +45,8 @@ Optim. 10, 2000).  At P_e > 0 an iteration factors T once with
 ``matlin.lu_solver``, and both Newton steps (predictor and corrector) solve
 with that one LU factor (below order ``matlin.LU_MIN_ORDER``, where
 refactoring is cheaper, each solve is ``np.linalg.solve``).  At P_e = 0
-``lu_solver`` factors no real matrix: each Newton step solves the real
-m x m matrix anew with ``np.linalg.solve``.  No Cholesky factor of the
+each Newton step hands the real m x m matrix to ``np.linalg.solve``,
+which factors it anew every time.  No Cholesky factor of the
 Schur matrix is needed.  At P_e > 0 the r^2 x r^2 arrays live in a
 workspace the core makes once per solve: the scalings' Gram product is
 written into one buffer and T, in Fortran order, into another, which
@@ -533,7 +533,7 @@ def _norm(v) -> np.float64:
 # dual slack Z = C - A*(y): the right-hand side b, the cost blocks ``cost`` (C),
 # initial_point() -> (x, y, z), apply_a(blocks) -> vector,
 # apply_a_adjoint(y) -> blocks, schur_solver(scalings) -> solve(rhs) -> dy (one
-# Schur factorization per call, serving both Newton steps), and
+# Schur matrix per call, serving both Newton steps), and
 # objectives(x, y) -> (pobj, dobj) in P_f units: pobj is the failure
 # probability of the measurement the iterate encodes (from x at P_e > 0, from
 # the weights y at P_e = 0) and dobj the lower bound on it from the other side.
@@ -673,7 +673,8 @@ class _UsdCore:
 
     def schur_solver(self, scalings):
         v = self.qs_conj @ scalings[0].w[0] @ self.qs.T  # v_ij = q_i^H W_Y q_j
-        return matlin.lu_solver(v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w_sq))
+        schur = v.real ** 2 + v.imag ** 2 + np.diag(scalings[1].w_sq)
+        return lambda rhs: np.linalg.solve(schur, rhs)
 
 
 def _newton_step(core, scalings, rp, rd, wrdw, rc, schur_solve):

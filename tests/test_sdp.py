@@ -516,11 +516,12 @@ class TestSchurSystem:
 
     @pytest.mark.parametrize("pe", [0.0, 0.05])
     def test_schur_solves_per_iteration(self, monkeypatch, pe):
-        """One Schur factorization per iteration and two solves with it, one
-        per Newton step, and no other solve, inverse or Schur factorization:
-        at P_e > 0, T^-1 d for the error row's border is a second column of
-        the predictor's solve, and neither the NT scaling nor the step lengths
-        solve or invert anything."""
+        """At P_e > 0 one Schur factorization per iteration and two solves
+        with it, one per Newton step, and no other solve, inverse or Schur
+        factorization: T^-1 d for the error row's border is a second column
+        of the predictor's solve.  At P_e = 0 no ``lu_solver`` call, and one
+        ``np.linalg.solve`` per Newton step.  Neither the NT scaling nor the
+        step lengths solve or invert anything."""
         counts = {"solve": 0, "inv": 0, "cholesky": 0}
         factors = record_lu_solver(monkeypatch)
         monkeypatch.setattr(matlin, "LU_MIN_ORDER", 1)  # factor even the small Schur matrices
@@ -539,10 +540,14 @@ class TestSchurSystem:
             factors.clear()
             solution = sdp.solve(sdp.build_problem(random_config(n, n, 0), pe))
             assert solution.status == "optimal"
-            assert len(factors) == solution.iterations
-            assert sum(solves for _, solves in factors) == 2 * solution.iterations
-            # lu_solver factors only the complex T of P_e > 0 itself, given the LAPACK symbols.
-            assert counts["solve"] == (0 if pe and matlin._lapack() else 2 * solution.iterations)
+            if pe:
+                assert len(factors) == solution.iterations
+                assert sum(solves for _, solves in factors) == 2 * solution.iterations
+                # lu_solver factors the complex T itself, given the LAPACK symbols.
+                assert counts["solve"] == (0 if matlin._lapack() else 2 * solution.iterations)
+            else:
+                assert factors == []
+                assert counts["solve"] == 2 * solution.iterations
             assert counts["inv"] == 0
             assert counts["cholesky"] == 0
 
@@ -593,13 +598,20 @@ class TestSchurSystem:
         assert np.array_equal(second.reduced, first.reduced)
 
     def test_usd_schur_matrix_is_m_by_m(self, monkeypatch):
-        """At P_e = 0 each Schur factorization is of the m x m matrix of the m
-        identifiable states, not of an r^2 x r^2 one."""
-        factors = record_lu_solver(monkeypatch)
+        """At P_e = 0 each Newton step solves the real m x m Schur matrix of
+        the m identifiable states, not an r^2 x r^2 one."""
+        matrices = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            matrices.append(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
         solution = sdp.solve(sdp.build_problem(random_config(12, 12, 0), 0.0))
         assert solution.status == "optimal"
-        assert len(factors) == solution.iterations
-        assert {shape for shape, _ in factors} == {(12, 12)}
+        assert len(matrices) == 2 * solution.iterations
+        assert {(a.dtype, a.shape) for a in matrices} == {(np.dtype(np.float64), (12, 12))}
 
     @pytest.mark.parametrize("cfg,m", [
         (random_config(4, 4, 0), 4),

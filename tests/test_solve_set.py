@@ -125,25 +125,29 @@ def test_same_checkout_twice_matches(solve_set, monkeypatch, capsys):
 
 
 def test_calls_counted_through_each_sides_own_matlin(solve_set, monkeypatch):
-    """Counting A's calls patches A's ``matlin.lu_solver`` only: B's is not
-    called, and A's is restored afterwards."""
+    """The factorizations and solves are A's own binding's ``zgetrf`` and
+    ``zgetrs`` calls: one and two an iteration at N = 8, P_e = 0.05, where
+    the Schur matrix has order 64 (none where numpy links no binding), and
+    none at N = 2, where numpy factors it.  B's binding is not looked up,
+    and A's is restored afterwards."""
     with mock.patch.dict(sys.modules):
         package_a = solve_set.load(ROOT, "wpduality_a")
         package_b = solve_set.load(ROOT, "wpduality_b")
-        lu_solver_a = package_a.matlin.lu_solver
+        lapack_a = package_a.matlin._lapack
+        expected = ("1/2" if lapack_a() else "0/0", "0/0")
         b_calls = []
-        monkeypatch.setattr(package_b.matlin, "lu_solver", lambda a: b_calls.append(a))
-        calls = solve_set.calls_per_iteration(package_a, 2, 0.05)
-    factor, lu_solves = calls.split()[1].split("/")
-    assert float(factor) > 0 and float(lu_solves) >= float(factor)
+        monkeypatch.setattr(package_b.matlin, "_lapack", lambda: b_calls.append(None))
+        large = solve_set.calls_per_iteration(package_a, 8, 0.05).split()[1]
+        small = solve_set.calls_per_iteration(package_a, 2, 0.05).split()[1]
+    assert (large, small) == expected
     assert not b_calls
-    assert package_a.matlin.lu_solver is lu_solver_a
+    assert package_a.matlin._lapack is lapack_a
 
 
 def test_certificate_counted_through_each_sides_own_matlin(solve_set, monkeypatch):
     """The last field counts the matrices A's ``matlin.cholesky_succeeds``
-    factors, at N = 12 where the step lengths call it; B's is not called, A's
-    is restored, and a side without the helper reads 0."""
+    factors, at N = 12 where the step lengths call it; B's is not called, and
+    A's is restored."""
     with mock.patch.dict(sys.modules):
         package_a = solve_set.load(ROOT, "wpduality_a")
         package_b = solve_set.load(ROOT, "wpduality_b")
@@ -152,9 +156,5 @@ def test_certificate_counted_through_each_sides_own_matlin(solve_set, monkeypatc
         monkeypatch.setattr(package_b.matlin, "cholesky_succeeds", lambda a: b_calls.append(a))
         certified = solve_set.calls_per_iteration(package_a, 12, 0.05).split()[-1]
         assert package_a.matlin.cholesky_succeeds is succeeds_a
-        monkeypatch.delattr(package_a.matlin, "cholesky_succeeds")
-        monkeypatch.setattr(package_a.sdp, "CHOLESKY_MIN_ORDER", 10 ** 9)
-        without = solve_set.calls_per_iteration(package_a, 12, 0.05).split()[-1]
     assert float(certified) == 2 * 2 * 13  # two calls an iteration, each on 2 x 13 blocks
-    assert without == "0"
     assert not b_calls

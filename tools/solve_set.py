@@ -57,14 +57,15 @@ each side's median ms and iteration counts (a solve that does not end
 t_A / t_B (``timing_summary``, the mixes' rule), and each side's calls per
 iteration of one more, untimed solve of the seed-0 instance: the
 ``numpy.linalg`` ``eigvalsh``/``svd``/``cholesky``/``solve`` calls, the
-factorizations of the side's own ``matlin.lu_solver`` and the solves made
-with them, the matrices the ``eigvalsh`` calls solve (the sum of each
-call's stacked leading dimensions), and the matrices the side's own
-``matlin.cholesky_succeeds`` factors, the step lengths' certificate (0 for
-a side without it).  Last, per side, one line for the
-symmetric family at N = 256, overlap 0.5, P_e = 0 (``LARGE``): the solve's
-ms, the read-back's ms (``extract_povm`` plus ``povm_channel_statistics``)
-and the ``tracemalloc`` peak of one more, untimed solve plus read-back.
+``zgetrf``/``zgetrs`` calls of the side's own LAPACK binding (the routines
+its ``matlin._lapack()`` returns; 0/0 where numpy factors the Schur
+matrix), the matrices the ``eigvalsh`` calls solve (the sum of each call's
+stacked leading dimensions), and the matrices the side's own
+``matlin.cholesky_succeeds`` factors, the step lengths' certificate.  Last,
+per side, one line for the symmetric family at N = 256, overlap 0.5,
+P_e = 0 (``LARGE``): the solve's ms, the read-back's ms (``extract_povm``
+plus ``povm_channel_statistics``) and the ``tracemalloc`` peak of one more,
+untimed solve plus read-back.
 With A = B the table shows the noise floor of the ratios.  Each latency row
 times 3 solves a side, and the N = 256 line one, so they resolve only large
 moves: on two solvers that make the same bits, a row can read t_A / t_B
@@ -247,56 +248,42 @@ def timing_summary(timings) -> dict:
 
 
 def calls_per_iteration(package, n: int, budget: float) -> str:
-    """Calls of each ``COUNTED`` function, then the factorizations of
-    ``package``'s ``matlin.lu_solver`` and the solves with them, then the
-    matrices ``eigvalsh`` solved, then the matrices ``package``'s
-    ``matlin.cholesky_succeeds`` factored (0 where it has none), per
-    iteration of one solve of the seed-0 instance with ``package``:
+    """Calls of each ``COUNTED`` function, then the ``zgetrf`` and ``zgetrs``
+    calls of ``package``'s own LAPACK binding (the routines its
+    ``matlin._lapack()`` returns), then the matrices ``eigvalsh`` solved,
+    then the matrices ``package``'s ``matlin.cholesky_succeeds`` factored,
+    per iteration of one solve of the seed-0 instance with ``package``:
     "a/b/c/d f/s m c"."""
     sdp, matlin = package.sdp, package.matlin
     problem = sdp.build_problem(package.discrimination.random_config(n, n, SEEDS[0]), budget)
-    counts = dict.fromkeys(COUNTED + ("factor", "lu solve", "eig matrices", "certified"), 0)
-    originals = {name: getattr(np.linalg, name) for name in COUNTED}
-    lu_solver = matlin.lu_solver
-    succeeds = getattr(matlin, "cholesky_succeeds", None)
+    counts = collections.Counter()
+    routines = matlin._lapack()
 
-    def counting(name):
+    def counting(name, func):
         def wrapped(*args, **kwargs):
             counts[name] += 1
-            if name == "eigvalsh":
-                counts["eig matrices"] += int(np.prod(np.shape(args[0])[:-2]))
-            return originals[name](*args, **kwargs)
+            if name in ("eigvalsh", "cholesky_succeeds"):  # count the matrices of the stack
+                counts[name, "matrices"] += int(np.prod(np.shape(args[0])[:-2]))
+            return func(*args, **kwargs)
         return wrapped
 
-    def counting_lu_solver(a):
-        counts["factor"] += 1
-        solve = lu_solver(a)
-
-        def counted(b):
-            counts["lu solve"] += 1
-            return solve(b)
-        return counted
-
-    def counting_succeeds(a):
-        counts["certified"] += int(np.prod(np.shape(a)[:-2]))
-        return succeeds(a)
-
-    for name in COUNTED:
-        setattr(np.linalg, name, counting(name))
-    matlin.lu_solver = counting_lu_solver
-    if succeeds is not None:
-        matlin.cholesky_succeeds = counting_succeeds
+    binding = None if routines is None else tuple(map(counting, ("zgetrf", "zgetrs"), routines))
+    hooks = [(np.linalg, name, getattr(np.linalg, name)) for name in COUNTED]
+    hooks += [(matlin, "cholesky_succeeds", matlin.cholesky_succeeds),
+              (matlin, "_lapack", matlin._lapack)]
+    for owner, name, func in hooks[:-1]:
+        setattr(owner, name, counting(name, func))
+    matlin._lapack = lambda: binding
     try:
         iterations = sdp.solve(problem, sdp.SolverOptions(tolerance=CHECKED_TOL)).iterations
     finally:
-        for name, func in originals.items():
-            setattr(np.linalg, name, func)
-        matlin.lu_solver = lu_solver
-        if succeeds is not None:
-            matlin.cholesky_succeeds = succeeds
-    per = {name: f"{count / max(iterations, 1):g}" for name, count in counts.items()}
-    return ("/".join(per[name] for name in COUNTED)
-            + f" {per['factor']}/{per['lu solve']} {per['eig matrices']} {per['certified']}")
+        for owner, name, func in hooks:
+            setattr(owner, name, func)
+
+    def per(key):
+        return f"{counts[key] / max(iterations, 1):g}"
+    return ("/".join(map(per, COUNTED)) + f" {per('zgetrf')}/{per('zgetrs')}"
+            f" {per(('eigvalsh', 'matrices'))} {per(('cholesky_succeeds', 'matrices'))}")
 
 
 def latency_rows(packages) -> list[str]:
@@ -374,8 +361,8 @@ def main(argv: list[str]) -> int:
               f"over {count} solves")
     print(f"latency, random_config(N, N, s), s < {len(SEEDS)}, A | B: median ms,"
           " t_A/t_B median [quartiles], iterations per seed, calls/iter at seed 0;"
-          "\ncalls/iter: numpy.linalg " + "/".join(COUNTED) + ", then matlin.lu_solver"
-          " factorizations/solves, then the matrices eigvalsh solved, then the matrices"
+          "\ncalls/iter: numpy.linalg " + "/".join(COUNTED) + ", then zgetrf/zgetrs of the"
+          " side's own LAPACK binding, then the matrices eigvalsh solved, then the matrices"
           " matlin.cholesky_succeeds factored")
     for row in latency_rows(packages):
         print(row, flush=True)
