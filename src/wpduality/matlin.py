@@ -150,12 +150,14 @@ def numerical_support(dec: EigenDecomposition) -> EigenDecomposition:
     """The eigenpairs of ``dec`` on its numerical support.
 
     Keeps the eigenvalues above ``SUPPORT_RTOL`` times the largest one (and
-    above zero), in their descending order.  This is the one rank rule of
-    the package: the SDP solve and :func:`support_factor` both use it.
+    above zero), in their descending order.  ``dec`` is sorted descending,
+    so these are its leading r pairs, returned as views: read-only where
+    ``dec`` is, as :func:`psd_spectrum` makes it.  This is the one rank rule
+    of the package: the SDP solve and :func:`support_factor` both use it.
     """
     w = dec.eigenvalues
-    keep = w > SUPPORT_RTOL * max(float(w[0]), 1e-300)
-    return EigenDecomposition(w[keep], dec.eigenvectors[:, keep])
+    r = int(np.count_nonzero(w > SUPPORT_RTOL * max(float(w[0]), 1e-300)))
+    return EigenDecomposition(w[:r], dec.eigenvectors[:, :r])
 
 
 def support_factor(dec: EigenDecomposition) -> np.ndarray:

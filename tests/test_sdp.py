@@ -317,6 +317,23 @@ class TestExtractPovm:
         assert all(np.abs(op).max() < 1e-9 for op in povm.operators)
         assert np.allclose(povm.failure_operator, np.eye(povm.support_dim))
 
+    @pytest.mark.parametrize("pe", [0.0, 0.05])
+    @pytest.mark.parametrize("cfg,rank", [(random_config(4, 4, 0), 4),
+                                          (random_config(6, 3, 0), 3)],
+                             ids=["full-rank", "rank-3"])
+    def test_support_is_a_read_only_view(self, cfg, rank, pe):
+        """The solution's support is the leading pairs of the problem's
+        read-only decomposition, not a copy: writing to it raises, so no
+        write can change the operators, blocks or joint formed from it."""
+        problem = sdp.build_problem(cfg, pe)
+        support = sdp.solve(problem).support
+        assert support.eigenvalues.size == rank
+        for array, whole in ((support.eigenvalues, problem.spectrum.eigenvalues),
+                             (support.eigenvectors, problem.spectrum.eigenvectors)):
+            assert np.shares_memory(array, whole)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_symmetric_success_probabilities(self):
         cfg = sym_config(3, 0.3)
         solution = sdp.solve(sdp.build_problem(cfg, 0.0))
