@@ -7,12 +7,13 @@ probabilities and reports both bound sides, the slack oriented so that
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matlin
-from .discrimination import DiscriminationOutcome
+from .discrimination import SIMPLEX_TOL, DiscriminationOutcome
 from .matlin import ValidationError
 from .quantum import InterferometerConfig, binary_entropy, coherence_rel_ent
 
@@ -85,10 +86,18 @@ def error_margin_surface(n_paths: int, p_error: float, p_failure: float) -> floa
 
     This is the surface the normalized coherence of any physical strategy
     must stay below; NaN where P_e exceeds the conclusive probability.
-    ``n_paths`` must be an integer of at least 2, or
-    :class:`~wpduality.matlin.ValidationError` is raised.
+    ``n_paths`` must be an integer of at least 2, and each probability a
+    real number, not a bool, in [-``SIMPLEX_TOL``, 1 + ``SIMPLEX_TOL``], the
+    range :class:`~wpduality.discrimination.DiscriminationOutcome` grants
+    its read-backs; otherwise :class:`~wpduality.matlin.ValidationError` is
+    raised.
     """
     n_paths = matlin.integer_at_least(n_paths, 2, "n_paths")
+    for name, value in (("p_error", p_error), ("p_failure", p_failure)):
+        if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and -SIMPLEX_TOL <= value <= 1 + SIMPLEX_TOL):
+            raise ValidationError(f"{name} must be a real number in "
+                                  f"[-{SIMPLEX_TOL:g}, 1 + {SIMPLEX_TOL:g}], got {value!r}")
     if p_error > 1.0 - p_failure + 1e-12:
         return float("nan")
     return _normalized_margin_lhs(n_paths, p_error, p_failure)

@@ -138,6 +138,17 @@ class TestBoundSurface:
         with pytest.raises(matlin.ValidationError, match="n_paths"):
             duality.error_margin_surface(n_paths, p_error, p_failure)
 
+    @pytest.mark.parametrize("p_error,p_failure,name", [
+        (-0.1, 0.5, "p_error"), (0.1, -0.2, "p_failure"), (True, 0.5, "p_error"),
+        (0.1, 1.5, "p_failure"), (float("inf"), 0.0, "p_error")])
+    def test_surface_rejects_a_probability_outside_the_read_back_range(self, p_error,
+                                                                       p_failure, name):
+        with pytest.raises(matlin.ValidationError, match=name):
+            duality.error_margin_surface(3, p_error, p_failure)
+
+    def test_surface_takes_a_read_back_just_below_zero(self):
+        assert np.isfinite(duality.error_margin_surface(3, -1e-12, 0.5))
+
 
 class TestNoViolationSweeps:
     def test_analytic_families_and_random_ensemble(self, rng):
