@@ -38,7 +38,9 @@ SIMPLEX_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DiscriminationOutcome:
-    """Success/error/failure probability triple of a strategy."""
+    """Success/error/failure probability triple of a strategy: real numbers
+    in [-``SIMPLEX_TOL``, 1 + ``SIMPLEX_TOL``] (:func:`wpduality.matlin.real_in`)
+    that sum to 1 within ``SIMPLEX_TOL``, with a bool ``budget_exceeded``."""
 
     p_success: float
     p_error: float
@@ -47,46 +49,41 @@ class DiscriminationOutcome:
     budget_exceeded: bool = False
 
     def __post_init__(self):
-        total = self.p_success + self.p_error + self.p_failure
-        for name, value in (
-            ("p_success", self.p_success),
-            ("p_error", self.p_error),
-            ("p_failure", self.p_failure),
-        ):
-            if not -SIMPLEX_TOL <= value <= 1 + SIMPLEX_TOL:
-                raise ValidationError(f"{name}={value} outside [0, 1]")
+        total = 0.0
+        for name in ("p_success", "p_error", "p_failure"):
+            total += matlin.real_in(getattr(self, name), -SIMPLEX_TOL, 1 + SIMPLEX_TOL, name)
+        if not isinstance(self.budget_exceeded, bool):
+            raise ValidationError(f"budget_exceeded must be a bool, got {self.budget_exceeded!r}")
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
 class SymmetricConfig:
-    """N detector states with equal pairwise overlap and uniform priors."""
+    """N >= 2 detector states with equal pairwise overlap, a real number in
+    [-1/(N-1), 1] within 1e-12, and uniform priors."""
 
     n_paths: int
     overlap: float
 
     def __post_init__(self):
-        n, c = matlin.integer_at_least(self.n_paths, 2, "n_paths"), self.overlap
+        n = matlin.integer_at_least(self.n_paths, 2, "n_paths")
         # PSD condition for the overlap matrix: eigenvalues 1+(N-1)c and 1-c.
-        if not -1.0 / (n - 1) - 1e-12 <= c <= 1.0 + 1e-12:
-            raise ValidationError(
-                f"overlap {c} outside [-1/(N-1), 1] for N={n}"
-            )
+        matlin.real_in(self.overlap, -1.0 / (n - 1) - 1e-12, 1.0 + 1e-12, "overlap")
 
 
 @dataclass(frozen=True)
 class AsymmetricConfig:
-    """One path distinguishable with probability weight p; the other N-1
-    paths share a single detector state and the remaining weight."""
+    """One path distinguishable with probability weight p, a real number in
+    [1/N, 1] within 1e-12; the other N-1 >= 1 paths share a single detector
+    state and the remaining weight."""
 
     n_paths: int
     p: float
 
     def __post_init__(self):
-        n, p = matlin.integer_at_least(self.n_paths, 2, "n_paths"), self.p
-        if not 1.0 / n - 1e-12 <= p <= 1.0 + 1e-12:
-            raise ValidationError(f"p={p} outside [1/N, 1] for N={n}")
+        n = matlin.integer_at_least(self.n_paths, 2, "n_paths")
+        matlin.real_in(self.p, 1.0 / n - 1e-12, 1.0 + 1e-12, "p")
 
 
 def symmetric_interferometer(cfg: SymmetricConfig) -> InterferometerConfig:
@@ -141,10 +138,13 @@ def symmetric_min_error(cfg: SymmetricConfig) -> float:
     """Minimum error probability with no inconclusive outcome allowed.
 
     This is where the error-margin tradeoff reaches zero failure; budgets
-    above it cannot reduce the failure probability any further.
+    above it cannot reduce the failure probability any further.  It is the
+    error of the square-root measurement, optimal at every overlap, negative
+    ones included (Ban et al., Int. J. Theor. Phys. 36, 1269 (1997)).
     """
-    n, c = cfg.n_paths, min(max(cfg.overlap, 0.0), 1.0)
-    root = np.sqrt(1.0 + (n - 1) * c) - np.sqrt(1.0 - c)
+    n, c = cfg.n_paths, min(cfg.overlap, 1.0)
+    # The radicand may undershoot 0 by the 1e-12 SymmetricConfig grants.
+    root = np.sqrt(max(1.0 + (n - 1) * c, 0.0)) - np.sqrt(1.0 - c)
     return float((n - 1) * root**2 / n**2)
 
 
@@ -160,14 +160,13 @@ def symmetric_error_margin(
     which reduces to P_f = c at P_e = 0 and reaches zero exactly at the
     minimum-error budget.  Larger budgets, up to 1, are flagged and pinned to
     the minimum-error point (P_f = 0, the extra budget is never used).  The
-    budget must be a real number in [0, 1], as for the SDP
+    closed form requires an overlap in [0, 1] within 1e-12, and the budget
+    must be a real number in [0, 1], as for the SDP
     (:func:`wpduality.matlin.probability`).
     """
-    n, c = cfg.n_paths, cfg.overlap
-    if not 0.0 <= c <= 1.0 + 1e-12:
-        raise ValidationError("the closed form requires overlap in [0, 1]")
+    n = cfg.n_paths
+    c = min(matlin.real_in(cfg.overlap, 0.0, 1.0 + 1e-12, "closed-form overlap"), 1.0)
     error_budget = matlin.probability(error_budget, "error budget")
-    c = min(c, 1.0)
     pe_min = symmetric_min_error(cfg)
     exceeded = error_budget > pe_min
     pe = min(error_budget, pe_min)

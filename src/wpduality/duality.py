@@ -7,7 +7,6 @@ probabilities and reports both bound sides, the slack oriented so that
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,7 @@ def error_margin_surface(n_paths: int, p_error: float, p_failure: float) -> floa
     """
     n_paths = matlin.integer_at_least(n_paths, 2, "n_paths")
     for name, value in (("p_error", p_error), ("p_failure", p_failure)):
-        if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and -SIMPLEX_TOL <= value <= 1 + SIMPLEX_TOL):
-            raise ValidationError(f"{name} must be a real number in "
-                                  f"[-{SIMPLEX_TOL:g}, 1 + {SIMPLEX_TOL:g}], got {value!r}")
+        matlin.real_in(value, -SIMPLEX_TOL, 1 + SIMPLEX_TOL, name)
     if p_error > 1.0 - p_failure + 1e-12:
         return float("nan")
     return _normalized_margin_lhs(n_paths, p_error, p_failure)

@@ -3,9 +3,10 @@
 Eigendecomposition (LAPACK ``eigh`` behind a descending-order API), the one
 PSD rule (:func:`psd_spectrum`, which every accepted Gram matrix passes), the
 one rank rule (:func:`numerical_support`), the one rule for counts
-(:func:`integer_at_least`), Gram-matrix factorization, a per-matrix
-Cholesky test of a stack (:func:`cholesky_succeeds`), and a factor-once
-linear solver.  Matrices are plain numpy arrays; the helpers here validate
+(:func:`integer_at_least`) and the one for real numbers (:func:`real_in`,
+with :func:`probability` its [0, 1] case), Gram-matrix factorization, a
+per-matrix Cholesky test of a stack (:func:`cholesky_succeeds`), and a
+factor-once linear solver.  Matrices are plain numpy arrays; the helpers here validate
 them, at fixed tolerances, instead of wrapping them in classes.
 
 :func:`lu_solver` LU-factors (LAPACK ``zgetrf``) the one matrix the SDP
@@ -51,6 +52,7 @@ __all__ = [
     "numerical_support",
     "probability",
     "psd_spectrum",
+    "real_in",
     "support_factor",
 ]
 
@@ -77,15 +79,20 @@ def integer_at_least(value, minimum: int, name: str) -> int:
     return int(value)
 
 
-def probability(value, name: str) -> float:
+def real_in(value, low: float, high: float, name: str) -> float:
     """``value`` as a ``float``, or :class:`ValidationError` unless it is a
-    real number in [0, 1].  A bool is rejected although it is a number:
-    ``True`` would pass as 1.0."""
+    real number with ``low <= value <= high``; NaN fails the comparison.  A
+    bool is rejected although it is a number: ``True`` would pass as 1.0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} {value} outside [0, 1]")
+    if not low <= value <= high:
+        raise ValidationError(f"{name} {value} outside [{low:.12g}, {high:.12g}]")
     return float(value)
+
+
+def probability(value, name: str) -> float:
+    """:func:`real_in` on [0, 1], the range of every error budget."""
+    return real_in(value, 0.0, 1.0, name)
 
 
 def hermitian(entries) -> np.ndarray:

@@ -83,12 +83,9 @@ def shannon_entropy(p) -> float:
 
 
 def binary_entropy(q: float) -> float:
-    """H2(q) = -q log2 q - (1-q) log2 (1-q), with H2(0) = H2(1) = 0."""
-    if not np.isfinite(q):
-        raise ValidationError("binary entropy argument is not finite")
-    if q < -1e-12 or q > 1 + 1e-12:
-        raise ValidationError(f"binary entropy argument {q} outside [0, 1]")
-    q = min(max(q, 0.0), 1.0)
+    """H2(q) = -q log2 q - (1-q) log2 (1-q), with H2(0) = H2(1) = 0, of a
+    real number q in [0, 1] within 1e-12."""
+    q = min(max(matlin.real_in(q, -1e-12, 1 + 1e-12, "binary entropy argument"), 0.0), 1.0)
     return _entropy_bits(np.array([q, 1.0 - q]))
 
 

@@ -108,7 +108,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -157,17 +156,15 @@ class NumericalBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Interior-point controls; defaults match the package test tolerances."""
+    """Interior-point controls; defaults match the package test tolerances.
+    The tolerance is a real number in (0, inf), the iteration cap an integer >= 1."""
 
     tolerance: float = 1e-7
     max_iterations: int = 200
 
     def __post_init__(self):
-        # A bool passes the number check below: True would mean tol 1.0.
-        tolerance = self.tolerance
-        if isinstance(tolerance, bool) or not (
-                isinstance(tolerance, numbers.Real) and 0.0 < tolerance < math.inf):
-            raise ValidationError(f"tolerance must be a finite real number > 0, got {tolerance!r}")
+        # For floats this closed interval is exactly 0 < tolerance < inf.
+        matlin.real_in(self.tolerance, math.ulp(0.0), math.nextafter(math.inf, 0.0), "tolerance")
         matlin.integer_at_least(self.max_iterations, 1, "max_iterations")
 
 

@@ -210,12 +210,26 @@ class TestSymmetricErrorMargin:
             assert out.p_failure == pytest.approx(0.0, abs=1e-12)
 
     def test_min_error_matches_square_root_measurement(self):
-        # 1 - (1/N^2) (sqrt(1+(N-1)c) + (N-1) sqrt(1-c))^2
-        for n, c in [(2, 0.5), (3, 0.4), (4, 0.8)]:
+        # 1 - (1/N^2) (sqrt(1+(N-1)c) + (N-1) sqrt(1-c))^2, negative overlaps included
+        for n, c in [(2, 0.5), (3, 0.4), (4, 0.8), (3, -0.4), (2, -1.0), (4, -1 / 3)]:
             srm = 1 - (np.sqrt(1 + (n - 1) * c) + (n - 1) * np.sqrt(1 - c)) ** 2 / n**2
             assert disc.symmetric_min_error(disc.SymmetricConfig(n, c)) == pytest.approx(
                 srm, abs=1e-12
             )
+        assert disc.symmetric_min_error(disc.SymmetricConfig(3, -0.4)) == pytest.approx(
+            0.120377661239, abs=1e-12)
+
+    def test_min_error_at_a_negative_overlap_matches_the_sdp(self):
+        """At the minimum error the SDP fails with probability 0, and at 0.8
+        of it not: the closed form is the least budget with no failure."""
+        cfg = disc.SymmetricConfig(3, -0.4)
+        pe_min = disc.symmetric_min_error(cfg)
+        states = disc.symmetric_interferometer(cfg)
+        at_min = sdp.solve(sdp.build_problem(states, pe_min))
+        below = sdp.solve(sdp.build_problem(states, 0.8 * pe_min))
+        assert at_min.status == below.status == "optimal"
+        assert at_min.objective <= 1e-7
+        assert below.objective >= 0.1
 
     def test_monotone_nonincreasing_in_budget(self):
         cfg = disc.SymmetricConfig(4, 0.6)

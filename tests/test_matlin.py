@@ -12,6 +12,25 @@ def symmetric_gram(n, c):
     return (1 - c) * np.eye(n) + c * np.ones((n, n))
 
 
+class TestRealIn:
+    def test_returns_a_float_and_keeps_both_bounds(self):
+        for value in (-1.0, 0.25, 2.0, np.float64(0.5), 1):
+            out = matlin.real_in(value, -1.0, 2.0, "x")
+            assert type(out) is float and out == value
+
+    @pytest.mark.parametrize("value", [-1.5, 2.5, float("nan"), float("inf")])
+    def test_names_the_range(self, value):
+        with pytest.raises(matlin.ValidationError, match=r"^x .* outside \[-1, 2\]$"):
+            matlin.real_in(value, -1.0, 2.0, "x")
+
+    def test_probability_is_the_unit_interval(self):
+        assert matlin.probability(1, "budget") == 1.0
+        with pytest.raises(matlin.ValidationError, match=r"^budget 1\.5 outside \[0, 1\]$"):
+            matlin.probability(1.5, "budget")
+        with pytest.raises(matlin.ValidationError, match="must be a real number"):
+            matlin.probability(True, "budget")
+
+
 class TestHermitianValidation:
     def test_rejects_non_square(self):
         with pytest.raises(matlin.ValidationError):
