@@ -212,32 +212,6 @@ def cmd_figure2(args) -> int:
     return EXIT_SOLVER if failures else EXIT_OK
 
 
-def _holds_only_numbers(value) -> bool:
-    """True if a JSON value is a number, or nests only numbers in lists.
-    Walked with a stack, so no depth of nesting recurses."""
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            return False
-    return True
-
-
-def _numeric_field(raw: dict, key: str, default=None) -> np.ndarray:
-    # numpy would read JSON true/false as 1/0 and a numeric string as its number
-    if key in raw and not _holds_only_numbers(raw[key]):
-        raise ValidationError(f"instance field {key!r} must hold only numbers")
-    try:
-        value = np.asarray(raw.get(key, default), dtype=float)
-    except (OverflowError, ValueError) as exc:  # ragged nesting, an integer beyond float
-        raise ValidationError(f"instance field {key!r} is not numeric: {exc}") from exc
-    if not np.isfinite(value).all():  # Python's json reads NaN and Infinity
-        raise ValidationError(f"instance field {key!r} must hold finite numbers")
-    return value
-
-
 def _load_instance(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -255,15 +229,14 @@ def _load_instance(path: str):
     for key in ("priors", "gram_re"):
         if key not in raw:
             raise ValidationError(f"instance file is missing required field {key!r}")
-    priors = _numeric_field(raw, "priors")
-    gram_re = _numeric_field(raw, "gram_re")
-    gram_im = _numeric_field(raw, "gram_im", np.zeros_like(gram_re))
+    # Python's json reads NaN and Infinity; number_array and probability reject them
+    priors, gram_re = (matlin.number_array(raw[key], f"instance field {key!r}")
+                       for key in ("priors", "gram_re"))
+    gram_im = matlin.number_array(raw.get("gram_im", np.zeros_like(gram_re)),
+                                  "instance field 'gram_im'")
     if gram_re.shape != gram_im.shape:
         raise ValidationError("fields gram_re and gram_im have different shapes")
-    budget = _numeric_field(raw, "error_budget", 0.0)
-    if budget.ndim != 0:
-        raise ValidationError("field 'error_budget' must be a single number")
-    budget = matlin.probability(float(budget), "field 'error_budget'")
+    budget = matlin.probability(raw.get("error_budget", 0.0), "field 'error_budget'")
     cfg = quantum.InterferometerConfig(priors, gram_re + 1j * gram_im)
     return cfg, budget
 

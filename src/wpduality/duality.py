@@ -77,7 +77,11 @@ def _conditional_error_entropy(p_error: float, p_failure: float) -> float:
 
 
 def _coherence(cfg: InterferometerConfig, precomputed: float | None) -> float:
-    return coherence_rel_ent(cfg) if precomputed is None else float(precomputed)
+    """``precomputed``, a real number in [0, log2 N] like every coherence the
+    package computes, or the configuration's coherence when it is None."""
+    if precomputed is None:
+        return coherence_rel_ent(cfg)
+    return matlin.real_in(precomputed, 0.0, float(np.log2(cfg.n_paths)), "coherence_bits")
 
 
 def error_margin_surface(n_paths: int, p_error: float, p_failure: float) -> float:

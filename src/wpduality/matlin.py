@@ -3,8 +3,9 @@
 Eigendecomposition (LAPACK ``eigh`` behind a descending-order API), the one
 PSD rule (:func:`psd_spectrum`, which every accepted Gram matrix passes), the
 one rank rule (:func:`numerical_support`), the one rule for counts
-(:func:`integer_at_least`) and the one for real numbers (:func:`real_in`,
-with :func:`probability` its [0, 1] case), Gram-matrix factorization, a
+(:func:`integer_at_least`), the one for real numbers (:func:`real_in`,
+with :func:`probability` its [0, 1] case) and the one for numeric arrays
+(:func:`number_array`), Gram-matrix factorization, a
 per-matrix Cholesky test of a stack (:func:`cholesky_succeeds`), and a
 factor-once linear solver.  Matrices are plain numpy arrays; the helpers here validate
 them, at fixed tolerances, instead of wrapping them in classes.
@@ -49,6 +50,7 @@ __all__ = [
     "hermitian",
     "integer_at_least",
     "lu_solver",
+    "number_array",
     "numerical_support",
     "probability",
     "psd_spectrum",
@@ -95,20 +97,53 @@ def probability(value, name: str) -> float:
     return real_in(value, 0.0, 1.0, name)
 
 
+def number_array(values, name: str, dtype=np.float64) -> np.ndarray:
+    """``values`` as a finite array of ``dtype``, float64 or complex128, or
+    :class:`ValidationError`.  numpy alone would read a bool as 1 and a
+    numeric string as its number.  A numpy array of integers or reals (or
+    complex numbers, for complex128) passes on its dtype; any other input is
+    walked with a stack, so no depth of nesting recurses, and each leaf must
+    be such a number, not a bool, or such an array."""
+    is_complex = np.dtype(dtype).kind == "c"
+    kinds = "iufc" if is_complex else "iuf"
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds):
+        concrete = (float, int, complex) if is_complex else (float, int)
+        number = numbers.Complex if is_complex else numbers.Real
+        pending = [values]
+        while pending:
+            item = pending.pop()
+            if type(item) in concrete:  # the common leaves, before the slower ABC test
+                continue
+            if isinstance(item, (list, tuple)):
+                pending.extend(item)
+            elif isinstance(item, np.ndarray) and item.dtype.kind == "O":
+                pending.extend(item.flat)
+            elif isinstance(item, bool) or not (
+                    isinstance(item, number)
+                    or isinstance(item, np.ndarray) and item.dtype.kind in kinds):
+                raise ValidationError(f"{name} must hold only numbers")
+    try:
+        a = np.asarray(values, dtype=dtype)
+    except (OverflowError, ValueError) as exc:  # ragged nesting, an integer beyond float
+        raise ValidationError(f"{name} is not numeric: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} must hold finite numbers")
+    return a
+
+
 def hermitian(entries) -> np.ndarray:
     """Validate a square Hermitian matrix and return a canonicalized copy.
 
-    The input must be finite, square, Hermitian within ``HERMITIAN_TOL`` and
-    have real diagonal entries within it.  The returned array is exactly
-    Hermitian (symmetrized) with a real diagonal, dtype complex128.
+    The input must pass :func:`number_array` as complex128, be square,
+    Hermitian within ``HERMITIAN_TOL`` and have real diagonal entries within
+    it.  The returned array is exactly Hermitian (symmetrized) with a real
+    diagonal, dtype complex128.
     """
-    a = np.asarray(entries, dtype=np.complex128)
+    a = number_array(entries, "matrix", np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValidationError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise ValidationError("matrix contains NaN or Inf entries")
     scale = max(1.0, float(np.abs(a).max()))
     asym = np.abs(a - a.conj().T).max()
     if asym > HERMITIAN_TOL * scale:

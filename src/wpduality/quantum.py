@@ -43,11 +43,9 @@ def probability_vector(values) -> np.ndarray:
     Entries may undershoot zero by at most 1e-12 (clamped); the sum must be
     1 within 1e-10.
     """
-    p = np.asarray(values, dtype=np.float64)
+    p = matlin.number_array(values, "probabilities")
     if p.ndim != 1 or p.size < 1:
         raise ValidationError(f"expected a 1-d probability vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("probabilities contain NaN or Inf")
     if p.min() < -1e-12 or p.max() > 1 + 1e-12:
         raise ValidationError(f"probabilities outside [0, 1]: min={p.min()}, max={p.max()}")
     total = p.sum()
@@ -72,9 +70,7 @@ def shannon_entropy(p) -> float:
     Accepts nonnegative entries (tiny negatives down to -1e-12 are clamped)
     summing to at most 1 + 1e-10; sub-normalized inputs are allowed.
     """
-    v = np.asarray(p, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("entropy input contains NaN or Inf")
+    v = matlin.number_array(p, "entropy input").ravel()
     if v.min(initial=0.0) < -1e-12:
         raise ValidationError(f"negative probability {v.min()} beyond tolerance")
     if v.sum() > 1 + 1e-10:
@@ -226,11 +222,9 @@ class ChannelStatistics:
     error_prob: float = field(init=False)
 
     def __post_init__(self):
-        j = np.asarray(self.joint, dtype=np.float64)
+        j = matlin.number_array(self.joint, "joint")
         if j.ndim != 2 or j.shape[0] < 1 or j.shape[1] != j.shape[0] + 1:
             raise ValidationError(f"joint must have shape (N, N+1) with N >= 1, got {j.shape}")
-        if not np.all(np.isfinite(j)):
-            raise ValidationError("joint contains NaN or Inf")
         if j.min() < -1e-10:
             raise ValidationError(f"joint has negative entry {j.min():.3e}")
         j = np.clip(j, 0.0, None)
@@ -262,7 +256,7 @@ def usd_channel_statistics(priors, success_probs) -> ChannelStatistics:
     probability is zero by construction.
     """
     p = probability_vector(priors)
-    s = np.asarray(success_probs, dtype=np.float64)
+    s = matlin.number_array(success_probs, "success probabilities")
     if s.shape != p.shape:
         raise ValidationError(
             f"success probabilities shape {s.shape} does not match priors {p.shape}"

@@ -120,6 +120,21 @@ class TestPrecomputedCoherence:
         for a, b in zip(direct, overridden):
             assert a == b
 
+    @pytest.mark.parametrize("coh", [True, "0.5", float("nan"), -3.0, np.log2(3) + 0.1],
+                             ids=["bool", "str", "nan", "negative", "above-log2-n"])
+    @pytest.mark.parametrize("check", [
+        duality.all_checks, duality.check_usd_duality, duality.check_error_margin_bound,
+        duality.check_error_margin_duality, duality.check_simplified_bound])
+    def test_rejects_what_no_state_has(self, check, coh):
+        """A given coherence must be a real number in [0, log2 N], the range
+        of every coherence the package computes: a negative one would make
+        every relation pass."""
+        cfg = disc.random_config(3, 3, 0)
+        out = disc.DiscriminationOutcome(0.5, 0.0, 0.5, "x")
+        check(cfg, out, None)
+        with pytest.raises(matlin.ValidationError, match="coherence_bits"):
+            check(cfg, out, coh)
+
 
 class TestBoundSurface:
     def test_surface_matches_report(self):

@@ -2,7 +2,10 @@ import inspect
 import math
 import pathlib
 import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import wpduality
@@ -48,6 +51,16 @@ def test_one_number_rule():
     assert holders == ["matlin.py"]
 
 
+def test_one_array_rule():
+    """Only ``matlin`` casts an array to a dtype or tests it for finite
+    entries: every other module takes an outside array through
+    ``matlin.number_array``."""
+    holders = [path.name for path in sorted(pathlib.Path(wpduality.__file__).parent.glob("*.py"))
+               if re.search(r"np\.isfinite|np\.asarray\([^)]*dtype=",
+                            path.read_text(encoding="utf-8"))]
+    assert holders == ["matlin.py"]
+
+
 REAL_INPUTS = {
     "outcome": lambda v: discrimination.DiscriminationOutcome(v, 0.0, 0.0, "x"),
     "symmetric-overlap": lambda v: discrimination.SymmetricConfig(3, v),
@@ -71,3 +84,95 @@ def test_real_inputs_reject_what_is_not_a_real_number_in_range(entry, value):
 def test_outcome_flag_must_be_a_bool():
     with pytest.raises(matlin.ValidationError, match="budget_exceeded"):
         discrimination.DiscriminationOutcome(1.0, 0.0, 0.0, "x", budget_exceeded="no")
+
+
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+# entry point, the float value it accepts (every entry 0 or 1, so that it has
+# a bool form), and whether it takes complex entries
+ARRAY_INPUTS = {
+    "probability-vector": (quantum.probability_vector, [1.0, 0.0], False),
+    "shannon-entropy": (quantum.shannon_entropy, [1.0, 0.0], False),
+    "channel-statistics": (quantum.ChannelStatistics, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], False),
+    "usd-success": (lambda v: quantum.usd_channel_statistics([0.5, 0.5], v), [1.0, 0.0], False),
+    "config-priors": (lambda v: quantum.InterferometerConfig(v, IDENTITY), [1.0, 0.0], False),
+    "config-gram": (lambda v: quantum.InterferometerConfig([0.5, 0.5], v), IDENTITY, True),
+    "problem-gram": (lambda v: sdp.BlockSdpProblem(v, 0.0, 2), IDENTITY, True),
+    "hermitian": (matlin.hermitian, IDENTITY, True),
+}
+
+
+def _leaves(tree, leaf):
+    return [_leaves(x, leaf) for x in tree] if isinstance(tree, list) else leaf(tree)
+
+
+def _first_leaf(tree, value):
+    return [_first_leaf(tree[0], value), *tree[1:]] if isinstance(tree, list) else value
+
+
+NOT_NUMBERS = {
+    "strings": lambda tree: _leaves(tree, str),
+    "bool-list": lambda tree: _leaves(tree, bool),
+    "bool-array": lambda tree: np.array(_leaves(tree, bool)),
+    "none-leaf": lambda tree: _first_leaf(tree, None),
+    "complex": lambda tree: _leaves(tree, complex),
+    "object-array-string": lambda tree: np.array(_first_leaf(tree, "1.0"), dtype=object),
+}
+
+
+@pytest.mark.parametrize("spoil", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+@pytest.mark.parametrize("entry", ARRAY_INPUTS.values(), ids=ARRAY_INPUTS.keys())
+def test_array_inputs_reject_what_is_not_numbers(entry, spoil):
+    """Each array entry point takes the one rule, so numbers written as
+    strings or bools, a ``None`` leaf, and complex entries where reals are
+    expected get ``ValidationError``, although numpy would cast them."""
+    call, value, takes_complex = entry
+    call(value)
+    if takes_complex and spoil is NOT_NUMBERS["complex"]:
+        call(spoil(value))  # complex entries are this entry point's numbers
+        return
+    with pytest.raises(matlin.ValidationError):
+        call(spoil(value))
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([1, 0], [1.0, 0.0]),
+    (np.array([1, 0]), [1.0, 0.0]),
+    (np.array([1, 0], dtype=np.uint8), [1.0, 0.0]),
+    (np.array([0.5, 0.25], dtype=np.float32), [0.5, 0.25]),
+    ((0.5, 0.25), [0.5, 0.25]),
+    (np.array([0.5, 1], dtype=object), [0.5, 1.0]),
+    ([np.float64(0.5), np.int64(1), np.float32(0.25)], [0.5, 1.0, 0.25]),
+    (np.float64(0.5), 0.5),
+    ([Fraction(1, 2), Fraction(1, 4)], [0.5, 0.25]),
+    ([np.array([0.5, 0.25]), np.array([1, 0])], [[0.5, 0.25], [1.0, 0.0]]),
+    ([np.array(0.5), 0.25], [0.5, 0.25]),
+], ids=["int-list", "int-array", "uint8-array", "float32-array", "tuple", "object-array",
+        "numpy-scalars", "numpy-scalar", "fractions", "nested-arrays", "0-d-array"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+def test_number_array_accepts_every_number(values, expected, dtype):
+    """Every form of real numbers that numpy casts gives the array the float
+    list gives, for both dtypes."""
+    got = matlin.number_array(values, "x", dtype)
+    want = np.asarray(expected, dtype=dtype)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_number_array_accepts_complex_numbers_as_complex128():
+    want = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    for values in (want, want.tolist(), np.array(want.tolist(), dtype=object),
+                   [[np.complex64(1.0), 0.5j], [-0.5j, 1]]):
+        np.testing.assert_array_equal(matlin.number_array(values, "matrix", np.complex128), want)
+
+
+@pytest.mark.parametrize("values,message", [
+    (["0.5"], "x must hold only numbers"),
+    ([Decimal("0.5")], "x must hold only numbers"),  # not a numbers.Real
+    ([[0.5], [0.5, 0.5]], "x is not numeric: "),
+    ([10**400], "x is not numeric: "),
+    ([0.5, math.inf], "x must hold finite numbers"),
+    ([math.nan], "x must hold finite numbers"),
+], ids=["string", "decimal", "ragged", "int-beyond-float", "inf", "nan"])
+def test_number_array_messages(values, message):
+    with pytest.raises(matlin.ValidationError, match=f"^{re.escape(message)}"):
+        matlin.number_array(values, "x")

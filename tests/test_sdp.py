@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wpduality import matlin, quantum, sdp
-from wpduality.discrimination import discriminate, random_config
+from wpduality.discrimination import discriminate, outcome_from_solution, random_config
 
 
 def sym_config(n, c):
@@ -342,16 +342,21 @@ class TestExtractPovm:
         assert np.allclose(success, 0.7, atol=1e-5)
 
     def test_roundtrip_reproduces_objective_and_error(self, rng):
+        """The POVM's channel statistics and ``outcome_from_solution`` read
+        the same P_f and P_e back from a solution, to rounding."""
         for i in range(12):
             n = int(rng.integers(2, 6))
             cfg = random_config(n, n, 2000 + i)
-            for pe in (0.0, 0.05):
+            for pe in (0.0, 0.01, 0.05, 0.3):
                 solution = sdp.solve(sdp.build_problem(cfg, pe))
                 povm = sdp.extract_povm(solution, cfg)
                 assert povm is solution
                 stats = sdp.povm_channel_statistics(povm, cfg)
-                assert stats.failure_prob == pytest.approx(solution.objective, abs=1e-6)
-                assert stats.error_prob == pytest.approx(solution.error_used, abs=1e-6)
+                outcome = outcome_from_solution(solution)
+                for read_back in (solution.objective, outcome.p_failure):
+                    assert stats.failure_prob == pytest.approx(read_back, abs=1e-12)
+                for read_back in (solution.error_used, outcome.p_error):
+                    assert stats.error_prob == pytest.approx(read_back, abs=1e-12)
                 total = sum(povm.operators)
                 assert np.linalg.eigvalsh(total).max() <= 1 + 1e-6
                 for op in povm.operators:
