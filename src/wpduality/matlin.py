@@ -100,28 +100,28 @@ def probability(value, name: str) -> float:
 def number_array(values, name: str, dtype=np.float64) -> np.ndarray:
     """``values`` as a finite array of ``dtype``, float64 or complex128, or
     :class:`ValidationError`.  numpy alone would read a bool as 1 and a
-    numeric string as its number.  A numpy array of integers or reals (or
-    complex numbers, for complex128) passes on its dtype; any other input is
-    walked with a stack, so no depth of nesting recurses, and each leaf must
-    be such a number, not a bool, or such an array."""
+    numeric string as its number.  ``values`` is walked with a stack, so no
+    depth of nesting recurses: lists, tuples and object arrays are opened,
+    and each leaf must be an integer or real number (or complex, for
+    complex128) that is not a bool, or must be what numpy reads as an array
+    of such numbers: a numeric numpy array, a ``range``, an ``array.array``,
+    a ``memoryview`` or an object with ``__array__``."""
     is_complex = np.dtype(dtype).kind == "c"
     kinds = "iufc" if is_complex else "iuf"
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds):
-        concrete = (float, int, complex) if is_complex else (float, int)
-        number = numbers.Complex if is_complex else numbers.Real
-        pending = [values]
-        while pending:
-            item = pending.pop()
-            if type(item) in concrete:  # the common leaves, before the slower ABC test
-                continue
-            if isinstance(item, (list, tuple)):
-                pending.extend(item)
-            elif isinstance(item, np.ndarray) and item.dtype.kind == "O":
-                pending.extend(item.flat)
-            elif isinstance(item, bool) or not (
-                    isinstance(item, number)
-                    or isinstance(item, np.ndarray) and item.dtype.kind in kinds):
-                raise ValidationError(f"{name} must hold only numbers")
+    concrete = (float, int, complex) if is_complex else (float, int)
+    number = numbers.Complex if is_complex else numbers.Real
+    pending = [values]
+    while pending:
+        item = pending.pop()
+        if type(item) in concrete:  # the common leaves, before the slower ABC test
+            continue
+        if isinstance(item, (list, tuple)):
+            pending.extend(item)
+        elif isinstance(item, np.ndarray) and item.dtype.kind == "O":
+            pending.extend(item.flat)
+        elif (isinstance(item, bool) or not isinstance(item, number)) and (
+                np.asarray(item).dtype.kind not in kinds):
+            raise ValidationError(f"{name} must hold only numbers")
     try:
         a = np.asarray(values, dtype=dtype)
     except (OverflowError, ValueError) as exc:  # ragged nesting, an integer beyond float

@@ -1,3 +1,4 @@
+import array
 import inspect
 import math
 import pathlib
@@ -134,45 +135,68 @@ def test_array_inputs_reject_what_is_not_numbers(entry, spoil):
         call(spoil(value))
 
 
-@pytest.mark.parametrize("values,expected", [
-    ([1, 0], [1.0, 0.0]),
-    (np.array([1, 0]), [1.0, 0.0]),
-    (np.array([1, 0], dtype=np.uint8), [1.0, 0.0]),
-    (np.array([0.5, 0.25], dtype=np.float32), [0.5, 0.25]),
-    ((0.5, 0.25), [0.5, 0.25]),
-    (np.array([0.5, 1], dtype=object), [0.5, 1.0]),
-    ([np.float64(0.5), np.int64(1), np.float32(0.25)], [0.5, 1.0, 0.25]),
-    (np.float64(0.5), 0.5),
-    ([Fraction(1, 2), Fraction(1, 4)], [0.5, 0.25]),
-    ([np.array([0.5, 0.25]), np.array([1, 0])], [[0.5, 0.25], [1.0, 0.0]]),
-    ([np.array(0.5), 0.25], [0.5, 0.25]),
-], ids=["int-list", "int-array", "uint8-array", "float32-array", "tuple", "object-array",
-        "numpy-scalars", "numpy-scalar", "fractions", "nested-arrays", "0-d-array"])
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+class _ArrayInterface:
+    """An array-like that is not a sequence: numpy reads it through ``__array__``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values)
+
+
+REAL_FORMS = {
+    "int-list": ([1, 0], [1.0, 0.0]),
+    "int-array": (np.array([1, 0]), [1.0, 0.0]),
+    "uint8-array": (np.array([1, 0], dtype=np.uint8), [1.0, 0.0]),
+    "float32-array": (np.array([0.5, 0.25], dtype=np.float32), [0.5, 0.25]),
+    "tuple": ((0.5, 0.25), [0.5, 0.25]),
+    "object-array": (np.array([0.5, 1], dtype=object), [0.5, 1.0]),
+    "numpy-scalars": ([np.float64(0.5), np.int64(1), np.float32(0.25)], [0.5, 1.0, 0.25]),
+    "numpy-scalar": (np.float64(0.5), 0.5),
+    "fractions": ([Fraction(1, 2), Fraction(1, 4)], [0.5, 0.25]),
+    "nested-arrays": ([np.array([0.5, 0.25]), np.array([1, 0])], [[0.5, 0.25], [1.0, 0.0]]),
+    "0-d-array": ([np.array(0.5), 0.25], [0.5, 0.25]),
+    "range": (range(2), [0.0, 1.0]),
+    "nested-ranges": ([range(2), range(1, 3)], [[0.0, 1.0], [1.0, 2.0]]),
+    "array.array": (array.array("d", [0.5, 0.25]), [0.5, 0.25]),
+    "memoryview": (memoryview(array.array("d", [0.5, 0.25])), [0.5, 0.25]),
+    "__array__": (_ArrayInterface([0.5, 0.25]), [0.5, 0.25]),
+}
+COMPLEX = [[1.0, 0.5j], [-0.5j, 1.0]]
+COMPLEX_FORMS = {
+    "complex-array": (np.array(COMPLEX), COMPLEX),
+    "complex-list": (COMPLEX, COMPLEX),
+    "complex-object-array": (np.array(COMPLEX, dtype=object), COMPLEX),
+    "complex64-list": ([[np.complex64(1.0), 0.5j], [-0.5j, 1]], COMPLEX),
+}
+
+
+@pytest.mark.parametrize("values,expected,dtype", [
+    *(pytest.param(v, e, dtype, id=f"{dtype.__name__}-{key}")
+      for dtype in (np.float64, np.complex128) for key, (v, e) in REAL_FORMS.items()),
+    *(pytest.param(v, e, np.complex128, id=f"complex128-{key}")
+      for key, (v, e) in COMPLEX_FORMS.items()),
+])
 def test_number_array_accepts_every_number(values, expected, dtype):
-    """Every form of real numbers that numpy casts gives the array the float
-    list gives, for both dtypes."""
+    """Every form of numbers that numpy casts gives the array the float (or
+    complex) list gives: real forms for both dtypes, complex forms for
+    complex128."""
     got = matlin.number_array(values, "x", dtype)
     want = np.asarray(expected, dtype=dtype)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
 
-def test_number_array_accepts_complex_numbers_as_complex128():
-    want = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
-    for values in (want, want.tolist(), np.array(want.tolist(), dtype=object),
-                   [[np.complex64(1.0), 0.5j], [-0.5j, 1]]):
-        np.testing.assert_array_equal(matlin.number_array(values, "matrix", np.complex128), want)
-
-
 @pytest.mark.parametrize("values,message", [
     (["0.5"], "x must hold only numbers"),
     ([Decimal("0.5")], "x must hold only numbers"),  # not a numbers.Real
+    ([_ArrayInterface([True, False])], "x must hold only numbers"),
     ([[0.5], [0.5, 0.5]], "x is not numeric: "),
     ([10**400], "x is not numeric: "),
     ([0.5, math.inf], "x must hold finite numbers"),
     ([math.nan], "x must hold finite numbers"),
-], ids=["string", "decimal", "ragged", "int-beyond-float", "inf", "nan"])
+], ids=["string", "decimal", "bool-__array__", "ragged", "int-beyond-float", "inf", "nan"])
 def test_number_array_messages(values, message):
     with pytest.raises(matlin.ValidationError, match=f"^{re.escape(message)}"):
         matlin.number_array(values, "x")
